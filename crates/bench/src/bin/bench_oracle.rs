@@ -39,7 +39,9 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use starling_analysis::{Certifications, IncrementalAnalysis};
-use starling_engine::{explore, explore_traced, ExecGraph, ExploreConfig, RuleSet};
+use starling_engine::{
+    explore, explore_traced_with_mode, EvalMode, ExecGraph, ExploreConfig, RuleSet,
+};
 use starling_fuzz::{generate, GenConfig};
 use starling_sql::ast::{Action, Statement};
 use starling_sql::parse_statement;
@@ -224,7 +226,7 @@ fn scale_specs() -> Vec<CaseSpec> {
 /// The provenance family: traced counterparts of the `cond/*` shapes and
 /// one `scale/*` shape. Same rules, database, transition, and budget as
 /// the matching untraced case; the measured loop calls
-/// [`explore_traced`] instead of [`explore`], so the delta between
+/// [`explore_traced_with_mode`] instead of [`explore`], so the delta between
 /// `prov/X` and its `cond/X` / `scale/X` twin is exactly the
 /// decision-log recording overhead (the ≤5% budget of DESIGN.md §4k).
 fn prov_specs() -> Vec<CaseSpec> {
@@ -247,8 +249,14 @@ fn prov_specs() -> Vec<CaseSpec> {
                 BenchCase::Op {
                     name,
                     op: Box::new(move || {
-                        let (g, log) = explore_traced(&rules, &db, &actions, &cfg)
-                            .expect("prov bench case explores");
+                        let (g, log) = explore_traced_with_mode(
+                            &rules,
+                            &db,
+                            &actions,
+                            &cfg,
+                            EvalMode::default(),
+                        )
+                        .expect("prov bench case explores");
                         std::hint::black_box(log.ambiguous());
                         (g.states.len(), g.edges.len())
                     }),
@@ -267,8 +275,9 @@ fn prov_specs() -> Vec<CaseSpec> {
             BenchCase::Op {
                 name,
                 op: Box::new(move || {
-                    let (g, log) = explore_traced(&rules, &db, &actions, &cfg)
-                        .expect("prov bench case explores");
+                    let (g, log) =
+                        explore_traced_with_mode(&rules, &db, &actions, &cfg, EvalMode::default())
+                            .expect("prov bench case explores");
                     std::hint::black_box(log.ambiguous());
                     (g.states.len(), g.edges.len())
                 }),

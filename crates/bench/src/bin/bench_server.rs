@@ -27,8 +27,7 @@
 //!   per commit) — the price tag on each sync policy;
 //! * `--commits N` — committed transitions per durability config
 //!   (default 2000, smoke default 300);
-//! * `--scale` — run the scale family instead: the pooled executor vs the
-//!   legacy thread-per-connection executor at the same core count —
+//! * `--scale` — run the scale family instead: the pooled executor's
 //!   connection-churn throughput, ping latency percentiles (p50/p95/p99)
 //!   across N concurrent sessions, cheap-op p99 while a heavy exec
 //!   saturates one worker, and the idle-session footprint (threads and
@@ -46,7 +45,7 @@ use std::process::Command;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use starling_engine::{FirstEligible, Outcome, Session};
-use starling_server::{raise_fd_limit, Client, ScriptCache, Server, ServerConfig, Threading};
+use starling_server::{raise_fd_limit, Client, ScriptCache, Server, ServerConfig};
 use starling_sql::json::Json;
 use starling_storage::SyncPolicy;
 
@@ -285,8 +284,6 @@ fn proc_status(key: &str) -> i64 {
 
 /// Connection churn: `total` short-lived sessions (connect, one ping
 /// round-trip, quit) pushed through `drivers` concurrent client threads.
-/// The legacy executor pays a thread spawn per connection *on its accept
-/// thread*; the pooled reactor pays an O(1) registration.
 fn run_churn(addr: std::net::SocketAddr, total: usize, drivers: usize) -> Duration {
     let ping = Json::obj([("op", Json::from("ping"))]);
     let start = Instant::now();
@@ -406,15 +403,14 @@ fn run_pipeline_throughput(
 /// Thread-count and resident-memory cost of `sessions` idle connections:
 /// measures `/proc/self/status` before and after opening them (server and
 /// harness share the process, so the delta includes everything the server
-/// allocates per parked session — legacy: a full thread; pool: a state
-/// object).
+/// allocates per parked session).
 fn run_idle_footprint(addr: std::net::SocketAddr, sessions: usize) -> (i64, i64) {
     let threads0 = proc_status("Threads");
     let rss0 = proc_status("VmRSS");
     let idle: Vec<Client> = (0..sessions)
         .map(|_| Client::connect(addr).expect("idle connect"))
         .collect();
-    // One round-trip proves every accept (and, legacy, every spawn) is done.
+    // One round-trip proves every accept is done.
     let mut probe = Client::connect(addr).expect("idle probe");
     probe
         .expect_ok(&Json::obj([("op", Json::from("ping"))]))
@@ -426,7 +422,7 @@ fn run_idle_footprint(addr: std::net::SocketAddr, sessions: usize) -> (i64, i64)
     (threads, rss_kb)
 }
 
-/// One executor's scale measurements.
+/// The pooled executor's scale measurements.
 struct ScaleRow {
     churn_per_s: f64,
     pipelined_per_s: f64,
@@ -440,11 +436,9 @@ struct ScaleRow {
 /// Requests per pipelined batch in the throughput phase.
 const PIPELINE_BATCH: usize = 64;
 
-/// Runs churn + pipelined throughput + latency + idle-footprint against
-/// one executor.
-fn run_scale_mode(threading: Threading, sessions: usize, rounds: usize) -> ScaleRow {
+/// Runs churn + pipelined throughput + latency + idle-footprint.
+fn run_scale_mode(sessions: usize, rounds: usize) -> ScaleRow {
     let cfg = ServerConfig {
-        threading,
         // The pipelined phase intentionally floods the server with
         // sessions*batch decode-ahead requests; disable admission control
         // so the bench measures executor overhead, not refusal latency.
@@ -525,39 +519,32 @@ fn run_contended(sessions: usize, rounds: usize) -> (u64, u64, u64) {
     )
 }
 
-/// The scale family: pooled vs thread-per-connection at equal core count,
-/// appended to the JSON history as one entry.
+/// The scale family, appended to the JSON history as one entry.
 fn run_scale(sessions: usize, smoke: bool, label: &str, out: &str) {
     raise_fd_limit(16 * 1024);
     let rounds = if smoke { 4 } else { 8 };
     println!("scale workload: {sessions} sessions, {rounds} ping rounds each");
-    let pool = run_scale_mode(Threading::Pool, sessions, rounds);
-    let legacy = run_scale_mode(Threading::PerConnection, sessions, rounds);
+    let pool = run_scale_mode(sessions, rounds);
     // Contended latency uses a smaller cheap cohort so the datapoint is
     // about scheduling, not client-side queueing.
     let contended_sessions = sessions.min(256);
     let (c50, c95, c99) = run_contended(contended_sessions, rounds);
 
-    let churn_speedup = pool.churn_per_s / legacy.churn_per_s.max(1e-9);
-    let pipelined_speedup = pool.pipelined_per_s / legacy.pipelined_per_s.max(1e-9);
-    for (name, row) in [("pool", &pool), ("per_conn", &legacy)] {
-        println!(
-            "{name:>9}: churn {:>9.0} conns/s | pipelined {:>9.0} req/s | \
-             ping p50/p95/p99 {:>5}/{:>5}/{:>5} µs | idle +{} threads, +{} kB rss",
-            row.churn_per_s,
-            row.pipelined_per_s,
-            row.p50_us,
-            row.p95_us,
-            row.p99_us,
-            row.idle_threads,
-            row.idle_rss_kb,
-        );
-    }
+    println!(
+        "     pool: churn {:>9.0} conns/s | pipelined {:>9.0} req/s | \
+         ping p50/p95/p99 {:>5}/{:>5}/{:>5} µs | idle +{} threads, +{} kB rss",
+        pool.churn_per_s,
+        pool.pipelined_per_s,
+        pool.p50_us,
+        pool.p95_us,
+        pool.p99_us,
+        pool.idle_threads,
+        pool.idle_rss_kb,
+    );
     println!(
         "contended: ping p50/p95/p99 {c50}/{c95}/{c99} µs under one heavy exec \
          ({contended_sessions} cheap sessions)"
     );
-    println!("pipelined speedup: {pipelined_speedup:.2}x  churn speedup: {churn_speedup:.2}x");
 
     let epoch = SystemTime::now()
         .duration_since(UNIX_EPOCH)
@@ -571,30 +558,23 @@ fn run_scale(sessions: usize, smoke: bool, label: &str, out: &str) {
         label.replace('"', "'"),
         if smoke { "smoke" } else { "full" },
     );
-    for (name, row) in [("pool", &pool), ("per_conn", &legacy)] {
-        let _ = write!(
-            entry,
-            ",\n    \"{name}_churn_conns_per_s\": {:.1},\n    \
-             \"{name}_pipelined_req_per_s\": {:.1},\n    \
-             \"{name}_ping_p50_us\": {},\n    \"{name}_ping_p95_us\": {},\n    \
-             \"{name}_ping_p99_us\": {},\n    \"{name}_idle_threads\": {},\n    \
-             \"{name}_idle_rss_kb\": {}",
-            row.churn_per_s,
-            row.pipelined_per_s,
-            row.p50_us,
-            row.p95_us,
-            row.p99_us,
-            row.idle_threads,
-            row.idle_rss_kb,
-        );
-    }
     let _ = write!(
         entry,
-        ",\n    \"pipelined_speedup\": {pipelined_speedup:.3},\n    \
-         \"churn_speedup\": {churn_speedup:.3},\n    \
+        ",\n    \"pool_churn_conns_per_s\": {:.1},\n    \
+         \"pool_pipelined_req_per_s\": {:.1},\n    \
+         \"pool_ping_p50_us\": {},\n    \"pool_ping_p95_us\": {},\n    \
+         \"pool_ping_p99_us\": {},\n    \"pool_idle_threads\": {},\n    \
+         \"pool_idle_rss_kb\": {},\n    \
          \"contended_sessions\": {contended_sessions},\n    \
          \"contended_p50_us\": {c50},\n    \"contended_p95_us\": {c95},\n    \
-         \"contended_p99_us\": {c99}\n  }}"
+         \"contended_p99_us\": {c99}\n  }}",
+        pool.churn_per_s,
+        pool.pipelined_per_s,
+        pool.p50_us,
+        pool.p95_us,
+        pool.p99_us,
+        pool.idle_threads,
+        pool.idle_rss_kb,
     );
     if let Err(e) = append_entry(out, &entry) {
         eprintln!("failed to write {out}: {e}");

@@ -29,7 +29,7 @@ use starling_analysis::InteractiveSession;
 use starling_baselines::compare_all;
 use starling_bench::{build, corpus_config, scale_config};
 use starling_engine::{
-    consider_rule, explore, explore_from_ops, EvalMode, ExecState, ExploreConfig, RuleId, RuleSet,
+    consider_rule, explore, EvalMode, ExecState, ExploreConfig, RuleId, RuleSet,
 };
 use starling_storage::Op;
 use starling_workloads::{constraints, power_network};
@@ -188,12 +188,7 @@ fn e2_e3_e5_oracle_agreement() {
         let mut oracle_obs = Some(true);
         for salt in 0..3u64 {
             let actions = w.user_transition(salt * 31 + 5);
-            let mut working = base_db.clone();
-            let Ok(ops) = starling_engine::exec_graph::apply_user_actions(&mut working, &actions)
-            else {
-                continue;
-            };
-            let Ok(g) = explore_from_ops(&rules, &base_db, working, &ops, &cfg) else {
+            let Ok(g) = explore(&rules, &base_db, &actions, &cfg) else {
                 continue;
             };
             let merge = |acc: &mut Option<bool>, v: Option<bool>| match (v, &acc) {
@@ -406,13 +401,9 @@ fn e8_interactive_confluence() {
     );
 }
 
-/// E9 — analysis scalability (quick wall-clock sweep; criterion benches
-/// give the rigorous numbers).
+/// E9 — analysis scalability (quick wall-clock sweep).
 fn e9_scalability() {
-    header(
-        "E9",
-        "analysis wall time vs rule-set size (single-shot, see benches)",
-    );
+    header("E9", "analysis wall time vs rule-set size (single-shot)");
     println!("rules  graph(us)  termination(us)  confluence(us)  observable(us)");
     for n in [10usize, 25, 50, 100, 200, 400] {
         let (_w, _rules, ctx) = build(&scale_config(n, 42));

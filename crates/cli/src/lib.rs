@@ -514,7 +514,7 @@ pub fn cmd_explain(src: &str, rule_name: &str) -> Result<String, EngineError> {
 }
 
 /// `starling fuzz`: the differential fuzz campaign — generate random rule
-/// programs, cross-check the five oracles, shrink and pin disagreements
+/// programs, cross-check the four oracles, shrink and pin disagreements
 /// (see `starling_fuzz`). Exit-code contract: [`CmdStatus::Findings`] on
 /// any disagreement, so CI fails loudly; a clean campaign is
 /// [`CmdStatus::Ok`] no matter how many explorations were truncated

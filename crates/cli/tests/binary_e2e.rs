@@ -2,6 +2,7 @@
 //! exit codes, and output, via `CARGO_BIN_EXE`.
 
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Runs the binary and returns `(exit_code, stdout, stderr)`.
 fn starling(args: &[&str]) -> (i32, String, String) {
@@ -16,12 +17,16 @@ fn starling(args: &[&str]) -> (i32, String, String) {
     )
 }
 
+/// Writes `content` to a fresh temp file. Tests run in parallel and some
+/// share a script, so each call gets its own path: one test removing its
+/// file must not pull it from under another.
 fn script_file(content: &str) -> std::path::PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
     let mut path = std::env::temp_dir();
     path.push(format!(
         "starling_e2e_{}_{}.rql",
         std::process::id(),
-        content.len()
+        NEXT.fetch_add(1, Ordering::Relaxed)
     ));
     std::fs::write(&path, content).unwrap();
     path

@@ -436,27 +436,16 @@ pub fn explore_with_mode(
     cfg: &ExploreConfig,
     mode: EvalMode,
 ) -> Result<ExecGraph, EngineError> {
-    let mut db = base_db.clone();
-    let ops = apply_user_actions(&mut db, user_actions)?;
-    explore_impl(rules, base_db, db, &ops, cfg, false, mode, None)
+    explore_impl(rules, base_db, user_actions, cfg, mode, None)
 }
 
-/// [`explore`] with why-provenance recording: alongside the graph, returns
-/// the [`DecisionLog`] of choice points encountered during exploration.
+/// [`explore_with_mode`] with why-provenance recording: alongside the
+/// graph, returns the [`DecisionLog`] of choice points encountered during
+/// exploration.
 ///
-/// The returned graph is identical to the untraced [`explore`] result —
-/// recording happens in the sequential merge loop and never influences
-/// expansion order, state numbering, or truncation.
-pub fn explore_traced(
-    rules: &RuleSet,
-    base_db: &Database,
-    user_actions: &[Action],
-    cfg: &ExploreConfig,
-) -> Result<(ExecGraph, DecisionLog), EngineError> {
-    explore_traced_with_mode(rules, base_db, user_actions, cfg, EvalMode::default())
-}
-
-/// [`explore_traced`] with an explicit [`EvalMode`].
+/// The returned graph is identical to the untraced result — recording
+/// happens after expansion and never influences expansion order, state
+/// numbering, or truncation.
 pub fn explore_traced_with_mode(
     rules: &RuleSet,
     base_db: &Database,
@@ -464,103 +453,9 @@ pub fn explore_traced_with_mode(
     cfg: &ExploreConfig,
     mode: EvalMode,
 ) -> Result<(ExecGraph, DecisionLog), EngineError> {
-    let mut db = base_db.clone();
-    let ops = apply_user_actions(&mut db, user_actions)?;
     let mut log = DecisionLog::new();
-    let graph = explore_impl(rules, base_db, db, &ops, cfg, false, mode, Some(&mut log))?;
+    let graph = explore_impl(rules, base_db, user_actions, cfg, mode, Some(&mut log))?;
     Ok((graph, log))
-}
-
-/// [`explore`], expanding each BFS level across threads.
-///
-/// The resulting graph — state numbering, edge order, truncation, every
-/// digest set — is **byte-identical** to the sequential [`explore`]
-/// (asserted by tests): levels are merged into the graph in the same
-/// `(parent index, rule id)` order the sequential explorer produces, and
-/// expanding one state depends only on that state, never on the graph built
-/// so far. The deadline budget is the one exception — wall-clock truncation
-/// cuts wherever the clock expires in either mode.
-///
-/// Falls back to sequential expansion when a fault plan is installed
-/// (injection counters are shared across snapshots, so expansion *order*
-/// decides which operation dies) and for small levels (thread dispatch
-/// costs more than the work).
-pub fn explore_parallel(
-    rules: &RuleSet,
-    base_db: &Database,
-    user_actions: &[Action],
-    cfg: &ExploreConfig,
-) -> Result<ExecGraph, EngineError> {
-    let mut db = base_db.clone();
-    let ops = apply_user_actions(&mut db, user_actions)?;
-    explore_from_ops_parallel(rules, base_db, db, &ops, cfg)
-}
-
-/// [`explore_parallel`] with why-provenance recording (see
-/// [`explore_traced`]). Recording lives in the sequential merge loop, so
-/// the log is byte-identical across parallel and sequential exploration.
-pub fn explore_traced_parallel(
-    rules: &RuleSet,
-    base_db: &Database,
-    user_actions: &[Action],
-    cfg: &ExploreConfig,
-) -> Result<(ExecGraph, DecisionLog), EngineError> {
-    let mut db = base_db.clone();
-    let ops = apply_user_actions(&mut db, user_actions)?;
-    let mut log = DecisionLog::new();
-    let graph = explore_impl(
-        rules,
-        base_db,
-        db,
-        &ops,
-        cfg,
-        true,
-        EvalMode::default(),
-        Some(&mut log),
-    )?;
-    Ok((graph, log))
-}
-
-/// Exploration entry point when the initial transition is already available
-/// as operations applied to `db`.
-pub fn explore_from_ops(
-    rules: &RuleSet,
-    base_db: &Database,
-    db: Database,
-    initial_ops: &[TupleOp],
-    cfg: &ExploreConfig,
-) -> Result<ExecGraph, EngineError> {
-    explore_impl(
-        rules,
-        base_db,
-        db,
-        initial_ops,
-        cfg,
-        false,
-        EvalMode::default(),
-        None,
-    )
-}
-
-/// [`explore_from_ops`] with level-parallel expansion (see
-/// [`explore_parallel`] for the determinism contract).
-pub fn explore_from_ops_parallel(
-    rules: &RuleSet,
-    base_db: &Database,
-    db: Database,
-    initial_ops: &[TupleOp],
-    cfg: &ExploreConfig,
-) -> Result<ExecGraph, EngineError> {
-    explore_impl(
-        rules,
-        base_db,
-        db,
-        initial_ops,
-        cfg,
-        true,
-        EvalMode::default(),
-        None,
-    )
 }
 
 /// One expanded edge awaiting its merge into the graph: the rule
@@ -568,8 +463,7 @@ pub fn explore_from_ops_parallel(
 type Expansion = (RuleId, ExecState, StepOutcome);
 
 /// Expands every eligible rule choice from `src`. Pure with respect to the
-/// graph: the result depends only on `(src, eligible, rules, base_db)`,
-/// which is what makes level-parallel expansion safe.
+/// graph: the result depends only on `(src, eligible, rules, base_db)`.
 fn expand_state(
     rules: &RuleSet,
     src: &ExecState,
@@ -597,32 +491,17 @@ fn expand_state(
     Ok(out)
 }
 
-/// Levels at least this large are dispatched across threads in parallel
-/// mode; smaller levels expand inline (thread dispatch would dominate).
-const PARALLEL_MIN_LEVEL: usize = 8;
-
-#[allow(clippy::too_many_arguments)]
 fn explore_impl(
     rules: &RuleSet,
     base_db: &Database,
-    db: Database,
-    initial_ops: &[TupleOp],
+    user_actions: &[Action],
     cfg: &ExploreConfig,
-    parallel: bool,
     mode: EvalMode,
     mut trace: Option<&mut DecisionLog>,
 ) -> Result<ExecGraph, EngineError> {
-    // Fault-plan injection counters are shared across snapshots and advance
-    // on every observed operation, so expansion *order* decides which
-    // operation dies: with a plan installed, always run sequentially.
-    let parallel = parallel && base_db.fault_state().is_none() && db.fault_state().is_none();
-    let workers = if parallel {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        1
-    };
-
-    let initial = ExecState::new(db, rules.len(), initial_ops);
+    let mut db = base_db.clone();
+    let initial_ops = apply_user_actions(&mut db, user_actions)?;
+    let initial = ExecState::new(db, rules.len(), &initial_ops);
     let clock = cfg.start_clock();
 
     let mut graph = ExecGraph {
@@ -637,9 +516,8 @@ fn explore_impl(
     let mut index: HashMap<u64, usize> = HashMap::new();
     // Concrete states kept alongside (needed to expand).
     let mut concrete: Vec<ExecState> = Vec::new();
-    // The BFS frontier under construction: states discovered while merging
-    // level L form level L+1, in discovery order (the sequential explorer's
-    // queue order).
+    // The BFS frontier under construction: states discovered while
+    // expanding level L form level L+1, in discovery order.
     let mut frontier: Vec<usize> = Vec::new();
 
     let add_state = |st: ExecState,
@@ -684,52 +562,9 @@ fn explore_impl(
     );
 
     'levels: while !frontier.is_empty() {
-        let level = std::mem::take(&mut frontier);
-        // Eligible choices per level state; fixed before expansion begins
-        // (the level's nodes are already in the graph).
-        let eligible: Vec<Vec<RuleId>> = level
-            .iter()
-            .map(|&i| {
-                if graph.states[i].is_final {
-                    Vec::new()
-                } else {
-                    rules.priority().choose(&graph.states[i].triggered)
-                }
-            })
-            .collect();
-
-        // Parallel mode: expand the whole level on scoped threads up front.
-        // Workers only read `concrete`/`eligible`; results land in
-        // per-chunk slots, so no locks and no ordering races.
-        let mut batch: Vec<Option<Result<Vec<Expansion>, EngineError>>> = Vec::new();
-        if workers > 1 && level.len() >= PARALLEL_MIN_LEVEL {
-            batch.resize_with(level.len(), || None);
-            let chunk = level.len().div_ceil(workers);
-            let concrete = &concrete;
-            let eligible = &eligible;
-            std::thread::scope(|s| {
-                let mut slots: &mut [Option<Result<Vec<Expansion>, EngineError>>] = &mut batch;
-                for (k0, idxs) in level.chunks(chunk).enumerate() {
-                    let (head, tail) = slots.split_at_mut(idxs.len());
-                    slots = tail;
-                    let base = k0 * chunk;
-                    s.spawn(move || {
-                        for (off, (&i, slot)) in idxs.iter().zip(head.iter_mut()).enumerate() {
-                            let elig = &eligible[base + off];
-                            if elig.is_empty() {
-                                continue;
-                            }
-                            *slot = Some(expand_state(rules, &concrete[i], elig, base_db, mode));
-                        }
-                    });
-                }
-            });
-        }
-
-        // Merge in (parent index, rule id) order — exactly the sequential
-        // explorer's order, so state numbering, edge order, and truncation
-        // points match it byte for byte.
-        for (k, &i) in level.iter().enumerate() {
+        // Expand in (parent index, rule id) order: state numbering, edge
+        // order and truncation points follow from it.
+        for i in std::mem::take(&mut frontier) {
             if graph.states.len() > cfg.max_states {
                 graph.truncation = Some(TruncationReason::States);
                 break 'levels;
@@ -741,23 +576,18 @@ fn explore_impl(
             if graph.states[i].is_final {
                 continue;
             }
-            let expansions = match batch.get_mut(k).and_then(Option::take) {
-                Some(r) => r?,
-                None => expand_state(rules, &concrete[i], &eligible[k], base_db, mode)?,
-            };
-            // Provenance: record the decision made at this state. Recording
-            // sits in the sequential merge loop (identical across parallel
-            // and sequential exploration) and after the truncation guards,
-            // so the log covers exactly the states actually expanded.
+            let eligible = rules.priority().choose(&graph.states[i].triggered);
+            let expansions = expand_state(rules, &concrete[i], &eligible, base_db, mode)?;
+            // Provenance: record the decision made at this state, after the
+            // truncation guards, so the log covers exactly the states
+            // actually expanded.
             if let Some(log) = trace.as_deref_mut() {
-                log.record(i, graph.states[i].digest, &eligible[k]);
+                log.record(i, graph.states[i].digest, &eligible);
             }
             for (rule, next, step) in expansions {
                 // Per-state row guard: a program whose firings multiply rows
                 // (e.g. `insert into t select ... from t`) grows databases
-                // exponentially while staying under `max_states`. Checked at
-                // merge time, in the sequential order, so parallel and
-                // sequential exploration truncate at the identical point.
+                // exponentially while staying under `max_states`.
                 if next.db.total_rows() > cfg.max_rows {
                     graph.truncation = Some(TruncationReason::Rows);
                     break 'levels;
@@ -1114,102 +944,14 @@ mod tests {
         assert_eq!(g.observable_streams(&cfg), None);
     }
 
-    /// The parallel explorer must produce a **byte-identical** graph to the
-    /// sequential one: same state numbering, same edge order, same
-    /// everything. Exercised across shapes — diamond, cycle, rollback, and
-    /// a fan-out wide enough to cross `PARALLEL_MIN_LEVEL` so the threaded
-    /// path actually runs.
+    /// Exhausting `max_states` *exactly at the last frontier*: with
+    /// `max_states` equal to the true state count the graph must be
+    /// complete (full verdicts, no truncation); with one less it must
+    /// truncate with `TruncationReason::States`.
     #[test]
-    fn parallel_explore_is_byte_identical() {
-        let cfg = ExploreConfig::default();
-        let shapes: Vec<(Database, &str, Vec<&str>)> = vec![
-            (
-                db_with(&[("t", &["a"]), ("x", &["v"]), ("y", &["v"])]),
-                "create rule wx on t when inserted then insert into x values (1) end;
-                 create rule wy on t when inserted then insert into y values (2) end;",
-                vec!["insert into t values (1)"],
-            ),
-            (
-                db_with(&[("t", &["a"])]),
-                // Four unordered observables: levels reach 24 states, well
-                // past the parallel dispatch threshold.
-                "create rule o1 on t when inserted then select 1 end;
-                 create rule o2 on t when inserted then select 2 end;
-                 create rule o3 on t when inserted then select 3 end;
-                 create rule o4 on t when inserted then select 4 end;",
-                vec!["insert into t values (1)"],
-            ),
-            (
-                db_with(&[("t", &["a"])]),
-                "create rule guard on t when inserted then rollback end",
-                vec!["insert into t values (1)"],
-            ),
-        ];
-        for (db, src, acts) in shapes {
-            let rs = rules(&db, src);
-            let seq = explore(&rs, &db, &actions(&acts), &cfg).unwrap();
-            let par = explore_parallel(&rs, &db, &actions(&acts), &cfg).unwrap();
-            assert_eq!(seq, par);
-            assert_eq!(seq.final_db_digests(), par.final_db_digests());
-            assert_eq!(seq.observable_streams(&cfg), par.observable_streams(&cfg));
-        }
-    }
-
-    /// Parallel exploration with a cycle: identical graph, identical
-    /// verdicts.
-    #[test]
-    fn parallel_explore_matches_on_cycles() {
-        let mut db = db_with(&[("t", &["a"])]);
-        db.insert("t", vec![starling_storage::Value::Int(0)])
-            .unwrap();
-        let rs = rules(
-            &db,
-            "create rule tgl on t when updated(a) then \
-               update t set a = 1 - a end",
-        );
-        let cfg = ExploreConfig::default();
-        let acts = actions(&["update t set a = 1 - a"]);
-        let seq = explore(&rs, &db, &acts, &cfg).unwrap();
-        let par = explore_parallel(&rs, &db, &acts, &cfg).unwrap();
-        assert_eq!(seq, par);
-        assert_eq!(par.terminates(), Some(false));
-    }
-
-    /// State-budget truncation cuts at the same state index in both modes
-    /// (truncation is part of the byte-identical contract; only the
-    /// wall-clock deadline is exempt).
-    #[test]
-    fn parallel_explore_truncates_identically() {
+    fn exact_state_budget_boundary() {
         let db = db_with(&[("t", &["a"])]);
-        let rs = rules(
-            &db,
-            "create rule grow on t when inserted then \
-               insert into t select a + 1 from inserted end",
-        );
-        let cfg = ExploreConfig::default()
-            .with_max_states(50)
-            .with_max_paths(100);
-        let acts = actions(&["insert into t values (1)"]);
-        let seq = explore(&rs, &db, &acts, &cfg).unwrap();
-        let par = explore_parallel(&rs, &db, &acts, &cfg).unwrap();
-        assert_eq!(seq, par);
-        assert_eq!(par.truncation, Some(TruncationReason::States));
-    }
-
-    /// Exhausting `max_states` *exactly at the last frontier* is the edge
-    /// case where sequential and parallel exploration could plausibly
-    /// diverge: the parallel explorer has already expanded the whole level
-    /// on worker threads when the merge loop decides whether the budget
-    /// tripped. With `max_states` equal to the true state count the graph
-    /// must be complete (full verdicts, no truncation); with one less it
-    /// must truncate with `TruncationReason::States` — and both modes must
-    /// agree byte for byte in both cases. The fan is wide enough to cross
-    /// `PARALLEL_MIN_LEVEL`, so the threaded path really runs.
-    #[test]
-    fn exact_state_budget_boundary_matches_across_modes() {
-        let db = db_with(&[("t", &["a"])]);
-        // Five unordered observables: middle levels reach C(5,2) = 10
-        // parallel-expanded states, past PARALLEL_MIN_LEVEL.
+        // Five unordered observables: middle levels reach C(5,2) = 10 states.
         let rs = rules(
             &db,
             "create rule o1 on t when inserted then select 1 end;
@@ -1224,36 +966,26 @@ mod tests {
             assert!(!g.truncated());
             g.states.len()
         };
-        assert!(n > PARALLEL_MIN_LEVEL, "fan too narrow to exercise threads");
 
         // Budget == exact state count: complete graph, full verdicts.
         let exact = ExploreConfig::default().with_max_states(n);
         let seq = explore(&rs, &db, &acts, &exact).unwrap();
-        let par = explore_parallel(&rs, &db, &acts, &exact).unwrap();
-        assert_eq!(seq, par);
         assert_eq!(seq.truncation, None);
         assert_eq!(seq.termination_verdict(), Verdict::Holds);
-        assert_eq!(par.termination_verdict(), Verdict::Holds);
-        assert_eq!(seq.confluence_verdict(), par.confluence_verdict());
 
-        // Budget == one less: both modes truncate at the identical point
-        // with the identical reason.
+        // Budget == one less: truncates with the state reason.
         let under = ExploreConfig::default().with_max_states(n - 1);
         let seq = explore(&rs, &db, &acts, &under).unwrap();
-        let par = explore_parallel(&rs, &db, &acts, &under).unwrap();
-        assert_eq!(seq, par);
         assert_eq!(seq.truncation, Some(TruncationReason::States));
         assert_eq!(
             seq.termination_verdict(),
             Verdict::Inconclusive(TruncationReason::States)
         );
-        assert_eq!(seq.termination_verdict(), par.termination_verdict());
     }
 
     /// The per-state row budget truncates a database-growing program with
-    /// its own reason, identically in both modes — the guard that keeps a
-    /// fuzz campaign's memory bounded when a generated rule multiplies rows
-    /// on every firing.
+    /// its own reason — the guard that keeps a fuzz campaign's memory
+    /// bounded when a generated rule multiplies rows on every firing.
     #[test]
     fn row_budget_truncates_with_reason() {
         let db = db_with(&[("t", &["a"])]);
@@ -1267,8 +999,6 @@ mod tests {
         let cfg = ExploreConfig::default().with_max_rows(64);
         let acts = actions(&["insert into t values (1)"]);
         let seq = explore(&rs, &db, &acts, &cfg).unwrap();
-        let par = explore_parallel(&rs, &db, &acts, &cfg).unwrap();
-        assert_eq!(seq, par);
         assert_eq!(seq.truncation, Some(TruncationReason::Rows));
         assert_eq!(
             seq.termination_verdict(),
@@ -1276,41 +1006,6 @@ mod tests {
         );
         // Every state actually kept respects the cap.
         assert!(seq.states.len() < 20, "cap should trip within a few states");
-    }
-
-    /// With a fault plan installed the parallel entry point falls back to
-    /// sequential expansion, so injection points stay deterministic.
-    #[test]
-    fn parallel_explore_with_fault_plan_is_deterministic() {
-        use starling_storage::{FaultPlan, FaultSpec};
-        let mk = || {
-            let mut db = db_with(&[("t", &["a"]), ("x", &["v"]), ("y", &["v"])]);
-            db.install_fault_plan(FaultPlan::single(FaultSpec::nth(3)));
-            db
-        };
-        let rs = rules(
-            &mk(),
-            "create rule wx on t when inserted then insert into x values (1) end;
-             create rule wy on t when inserted then insert into y values (2) end;",
-        );
-        let cfg = ExploreConfig::default();
-        let acts = actions(&["insert into t values (1)"]);
-        // Two parallel runs from identical fresh fault states agree with a
-        // sequential run — because the fallback *is* the sequential path.
-        let seq = explore(&rs, &mk(), &acts, &cfg);
-        let par1 = explore_parallel(&rs, &mk(), &acts, &cfg);
-        let par2 = explore_parallel(&rs, &mk(), &acts, &cfg);
-        match (seq, par1, par2) {
-            (Ok(a), Ok(b), Ok(c)) => {
-                assert_eq!(a, b);
-                assert_eq!(b, c);
-            }
-            (Err(a), Err(b), Err(c)) => {
-                assert_eq!(a.to_string(), b.to_string());
-                assert_eq!(b.to_string(), c.to_string());
-            }
-            other => panic!("divergent outcomes: {other:?}"),
-        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The differential harness: one generated (or replayed) script, five
+//! The differential harness: one generated (or replayed) script, four
 //! cross-checked oracles.
 //!
 //! | oracle        | left side                     | right side                  |
@@ -6,7 +6,6 @@
 //! | `analyzer`    | §5–§8 static verdicts         | bounded exec-graph oracle   |
 //! | `eval-mode`   | columnar-plan exploration     | row-plan exploration and    |
 //! |               |                               | AST-interpreter exploration |
-//! | `parallelism` | sequential exploration        | level-parallel exploration  |
 //! | `transport`   | in-process load + explore     | server session (wire shape) |
 //! | `durability`  | in-memory session commit      | WAL-attached session, then  |
 //! |               |                               | drop-and-reopen recovery    |
@@ -16,7 +15,7 @@
 //! state, so only one implication is checkable — a static "guaranteed" must
 //! never coexist with a dynamic counterexample ([`Verdict::Fails`]). A
 //! dynamic `Holds` with a static "may not" is the analyzer being
-//! conservative, which is correct. The other three oracles demand byte
+//! conservative, which is correct. The other oracles demand byte
 //! equality of the serialized graph summary.
 //!
 //! A zeroth check rides along for free: each loaded rule definition must
@@ -27,8 +26,7 @@
 use starling_analysis::loader::load_script;
 use starling_analysis::report::{explore_json, AnalysisReport};
 use starling_engine::{
-    explore_parallel, explore_with_mode, Budget, EvalMode, ExecGraph, FirstEligible, Session,
-    Verdict,
+    explore_with_mode, Budget, EvalMode, ExecGraph, FirstEligible, Session, Verdict,
 };
 use starling_server::{ErrorCode, ScriptCache, ServerSession};
 use starling_sql::ast::Statement;
@@ -293,7 +291,7 @@ pub fn check_script(src: &str, budget: &Budget, mutation: Mutation) -> CaseOutco
         }
     }
 
-    // Fifth oracle: durability. Runs the whole script (user transition
+    // Oracle: durability. Runs the whole script (user transition
     // included) through an in-memory and a WAL-attached session, then a
     // drop-and-reopen crash simulation — so it fires on every case, even
     // ones with no explorable transition or an erroring transition (where
@@ -343,21 +341,6 @@ pub fn check_script(src: &str, budget: &Budget, mutation: Mutation) -> CaseOutco
                     "eval-mode",
                     format!("columnar error: {a}\nrow-plan error: {b}\ninterp error:   {c}"),
                 );
-            }
-            match explore_parallel(&loaded.rules, &loaded.db, &loaded.user_actions, budget) {
-                Ok(_) => {
-                    return disagree(
-                        "parallelism",
-                        format!("sequential explore errored ({a}) but parallel succeeded"),
-                    )
-                }
-                Err(p) if p.to_string() != a.to_string() => {
-                    return disagree(
-                        "parallelism",
-                        format!("sequential error: {a}\nparallel error: {p}"),
-                    )
-                }
-                Err(_) => {}
             }
             match server_explore_json(src, budget) {
                 Ok(j) => {
@@ -419,39 +402,6 @@ pub fn check_script(src: &str, budget: &Budget, mutation: Mutation) -> CaseOutco
                 ),
             }),
         );
-    }
-
-    // Oracle: sequential vs parallel. Both sides run the process-default
-    // evaluation mode, which is one of the three graphs already in hand.
-    let seq_json = match EvalMode::default() {
-        EvalMode::Columnar => &columnar_json,
-        EvalMode::Plan => &plan_json,
-        EvalMode::Interp => &interp_json,
-    };
-    match explore_parallel(&loaded.rules, &loaded.db, &loaded.user_actions, budget) {
-        Ok(gp) => {
-            let par_json = explore_json(&gp, budget).to_string();
-            if par_json != *seq_json {
-                return outcome(
-                    &g,
-                    Some(Disagreement {
-                        oracle: "parallelism",
-                        witness: None,
-                        detail: format!("sequential: {seq_json}\nparallel:   {par_json}"),
-                    }),
-                );
-            }
-        }
-        Err(e) => {
-            return outcome(
-                &g,
-                Some(Disagreement {
-                    oracle: "parallelism",
-                    witness: None,
-                    detail: format!("sequential succeeded but parallel errored: {e}"),
-                }),
-            )
-        }
     }
 
     // Oracle: analyzer vs exec graph. A static guarantee must never meet a

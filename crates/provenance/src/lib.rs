@@ -8,8 +8,8 @@
 //!
 //! The pipeline:
 //!
-//! 1. **Record** — [`starling_engine::explore_traced`] explores exactly as
-//!    the untraced oracle does, while logging a compact
+//! 1. **Record** — [`starling_engine::explore_traced_with_mode`] explores
+//!    exactly as the untraced oracle does, while logging a compact
 //!    [`DecisionLog`](starling_engine::DecisionLog) of choice points:
 //!    interned eligible-rule sets at the states where more than one rule
 //!    was eligible. Deterministic programs record nothing.

@@ -248,7 +248,7 @@ pub fn verify(
 #[cfg(test)]
 mod tests {
     use starling_analysis::load_script;
-    use starling_engine::{explore, explore_traced, Budget};
+    use starling_engine::{explore, explore_traced_with_mode, Budget, EvalMode};
 
     use crate::explain_divergence;
 
@@ -307,7 +307,14 @@ mod tests {
             let s = load_script(src).unwrap();
             let cfg = Budget::default();
             let plain = explore(&s.rules, &s.db, &s.user_actions, &cfg).unwrap();
-            let (traced, _) = explore_traced(&s.rules, &s.db, &s.user_actions, &cfg).unwrap();
+            let (traced, _) = explore_traced_with_mode(
+                &s.rules,
+                &s.db,
+                &s.user_actions,
+                &cfg,
+                EvalMode::default(),
+            )
+            .unwrap();
             assert_eq!(plain, traced, "tracing must not perturb exploration");
         }
     }

@@ -43,7 +43,7 @@
 //!
 //! A worker panic (a bug, or the test-only `crash` op) is caught with
 //! `catch_unwind`: the connection is marked dead and closed (the client
-//! sees EOF, exactly as if the legacy per-connection thread had died), the
+//! sees EOF), the
 //! shared cache and scheduler are poison-hardened, and dropping the
 //! connection drops its `ServerSession`, whose `Drop` releases any durable
 //! store claim — a crashed session never wedges a named store.
@@ -62,30 +62,16 @@ use crate::protocol::{budget_from_request, err_response, ErrorCode};
 use crate::server::{dispatch, Shared, MAX_LINE_BYTES};
 use crate::session::ServerSession;
 
-/// How the server maps connections to threads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Threading {
-    /// Reactor + fixed worker pool (the default): idle sessions cost no
-    /// thread, requests are scheduled by budget weight.
-    Pool,
-    /// The legacy thread-per-connection loop, kept as a benchmark baseline
-    /// and an escape hatch. One blocking thread per connection, one request
-    /// in flight per session, no admission control.
-    PerConnection,
-}
-
 /// Server tuning knobs, all with serviceable defaults.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// Worker threads executing requests (pool mode). `0` = one per
+    /// Worker threads executing requests. `0` = one per
     /// available core, minimum 2.
     pub workers: usize,
     /// Admission cap: maximum requests admitted but not yet completed
     /// (queued + executing) across all sessions. Further requests are
     /// refused with an `overloaded` error response. `0` = unlimited.
     pub max_inflight: usize,
-    /// Connection-to-thread mapping.
-    pub threading: Threading,
     /// Enables the test-only `crash` op, which panics the executing worker.
     /// Used by fault-injection tests to prove panic containment; never
     /// enabled by the CLI.
@@ -97,7 +83,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 0,
             max_inflight: 4096,
-            threading: Threading::Pool,
             crash_op: false,
         }
     }
@@ -341,13 +326,6 @@ impl Scheduler {
 
     pub(crate) fn stats_json(&self, cfg: &ServerConfig) -> Json {
         Json::obj([
-            (
-                "mode",
-                Json::from(match cfg.threading {
-                    Threading::Pool => "pool",
-                    Threading::PerConnection => "per_connection",
-                }),
-            ),
             ("workers", Json::from(cfg.effective_workers() as i64)),
             ("max_inflight", Json::from(cfg.max_inflight as i64)),
             (
@@ -522,9 +500,8 @@ pub(crate) fn worker_loop(shared: Arc<Shared>) {
                         Err(_) => {
                             // The request panicked. Contain it: flush what
                             // the turn already answered (best effort), then
-                            // this connection dies (client sees EOF, like a
-                            // crashed legacy worker thread); everyone else
-                            // is unaffected.
+                            // this connection dies (client sees EOF);
+                            // everyone else is unaffected.
                             let _ = flush_writes(&conn);
                             conn.dead.store(true, Ordering::SeqCst);
                             discard_queue(&conn, sched);
@@ -590,11 +567,10 @@ const MAX_QUEUED_PER_CONN: usize = 1024;
 const MAX_WRITE_BUF: usize = 8 * 1024 * 1024;
 
 impl Reader {
-    /// Decodes freshly read bytes into pipeline work items. Mirrors the
-    /// legacy connection loop exactly: empty lines are skipped without a
-    /// response, over-long lines get one `protocol` error after resyncing
-    /// at the next newline, invalid UTF-8 and malformed JSON get their
-    /// established error messages.
+    /// Decodes freshly read bytes into pipeline work items: empty lines are
+    /// skipped without a response, over-long lines get one `protocol` error
+    /// after resyncing at the next newline, invalid UTF-8 and malformed JSON
+    /// get their established error messages.
     fn ingest(&mut self, chunk: &[u8], shared: &Shared) {
         let mut items: Vec<Work> = Vec::new();
         let mut i = 0;
@@ -656,9 +632,8 @@ impl Reader {
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
                     if self.discarding {
-                        // EOF mid-discard still answers the over-long line
-                        // (legacy parity), even though the client may never
-                        // read it.
+                        // EOF mid-discard still answers the over-long line,
+                        // even though the client may never read it.
                         self.discarding = false;
                         shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
                         lock(&self.conn.state).queue.push_back(overlong_error());
@@ -853,7 +828,7 @@ pub(crate) fn reactor_loop(listener: TcpListener, wake_rx: sys::WakeRx, shared: 
 }
 
 /// Accepts every pending connection. During a drain new arrivals get the
-/// one-line `shutting_down` refusal (same as the legacy server).
+/// one-line `shutting_down` refusal.
 fn accept_ready(listener: &TcpListener, readers: &mut Vec<Reader>, shared: &Arc<Shared>) {
     loop {
         match listener.accept() {

@@ -1,22 +1,14 @@
 //! The TCP server: shared compiled-program cache, server-wide metrics, and
-//! graceful shutdown, over either of two connection executors:
-//!
-//! * **Pool** (the default): one reactor thread doing non-blocking accept
-//!   and readiness polling plus a fixed worker pool with budget-weighted
-//!   fair scheduling and admission control — see [`crate::pool`]. Idle
-//!   sessions cost no thread; requests may be pipelined per connection.
-//! * **PerConnection**: the legacy thread-per-connection loop, kept as a
-//!   benchmark baseline and escape hatch
-//!   ([`ServerConfig::threading`](crate::pool::ServerConfig)).
-//!
-//! Both executors share [`dispatch`], so the observable protocol — error
-//! strings included — is identical.
+//! graceful shutdown, over one connection executor: a reactor thread doing
+//! non-blocking accept and readiness polling plus a fixed worker pool with
+//! budget-weighted fair scheduling and admission control — see
+//! [`crate::pool`]. Idle sessions cost no thread; requests may be pipelined
+//! per connection.
 //!
 //! ## Shutdown protocol
 //!
 //! `shutdown` (the op or [`Server::shutdown`]) flips a flag and wakes the
-//! listener (reactor wake pipe + a loopback connect poke, so the legacy
-//! blocking `accept` observes it too). From then on new connections are
+//! reactor through its wake pipe. From then on new connections are
 //! answered with a single `shutting_down` error line and dropped; existing
 //! sessions keep being served until their clients disconnect (`quit` or
 //! EOF) — including responses to requests already decoded into a session's
@@ -25,7 +17,7 @@
 //! no session is ever torn down mid-request.
 
 use std::collections::BTreeSet;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -36,7 +28,7 @@ use starling_sql::json::Json;
 use starling_storage::SyncPolicy;
 
 use crate::cache::ScriptCache;
-use crate::pool::{self, sys, Scheduler, ServerConfig, Threading};
+use crate::pool::{self, sys, Scheduler, ServerConfig};
 use crate::protocol::{err_response, ok_response, ErrorCode};
 use crate::session::ServerSession;
 
@@ -104,8 +96,7 @@ pub struct ServerMetrics {
     pub errors: AtomicU64,
 }
 
-/// State shared by the executor threads (reactor + worker pool, or the
-/// accept loop + per-connection workers in legacy mode).
+/// State shared by the executor threads (reactor + worker pool).
 pub struct Shared {
     /// The compiled-program cache (script digest → loaded program).
     pub cache: ScriptCache,
@@ -117,7 +108,7 @@ pub struct Shared {
     addr: SocketAddr,
     config: ServerConfig,
     sched: Scheduler,
-    waker: Mutex<Option<sys::Waker>>,
+    waker: sys::Waker,
 }
 
 impl Shared {
@@ -131,21 +122,14 @@ impl Shared {
         &self.config
     }
 
-    /// The fair scheduler / admission state (zeros in legacy mode).
+    /// The fair scheduler / admission state.
     pub(crate) fn sched(&self) -> &Scheduler {
         &self.sched
     }
 
-    /// Wakes the reactor out of its poll (no-op in legacy mode).
+    /// Wakes the reactor out of its poll.
     pub(crate) fn wake_reactor(&self) {
-        if let Some(w) = self
-            .waker
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-        {
-            w.wake();
-        }
+        self.waker.wake();
     }
 
     /// Starts draining: refuse new connections, let existing sessions
@@ -153,11 +137,6 @@ impl Shared {
     pub fn initiate_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.wake_reactor();
-        // Poke the listener so a blocked accept() (legacy mode) observes
-        // the flag; the reactor also sees it as a readable listener. The
-        // poke connection is answered with the shutting_down line and
-        // dropped.
-        let _ = TcpStream::connect(self.addr);
     }
 
     fn stats_json(&self) -> Json {
@@ -192,9 +171,7 @@ impl Shared {
     }
 }
 
-/// A running server: in pool mode a reactor thread plus a fixed worker
-/// pool; in legacy mode an accept loop with one worker thread per
-/// connection.
+/// A running server: a reactor thread plus a fixed worker pool.
 pub struct Server {
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
@@ -219,13 +196,14 @@ impl Server {
     }
 
     /// [`Server::bind_with`] with explicit tuning: worker count, admission
-    /// cap, threading mode, test hooks.
+    /// cap, test hooks.
     pub fn bind_cfg<A: ToSocketAddrs>(
         addr: A,
         durable: Option<DurableRoot>,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
+        let (waker, wake_rx) = sys::wake_pair()?;
         let shared = Arc::new(Shared {
             cache: ScriptCache::new(),
             metrics: ServerMetrics::default(),
@@ -234,27 +212,17 @@ impl Server {
             addr: listener.local_addr()?,
             config,
             sched: Scheduler::new(),
-            waker: Mutex::new(None),
+            waker,
         });
         let mut threads = Vec::new();
-        match config.threading {
-            Threading::Pool => {
-                let (waker, wake_rx) = sys::wake_pair()?;
-                *shared.waker.lock().unwrap_or_else(PoisonError::into_inner) = Some(waker);
-                for _ in 0..config.effective_workers() {
-                    let shared = Arc::clone(&shared);
-                    threads.push(std::thread::spawn(move || pool::worker_loop(shared)));
-                }
-                let shared_r = Arc::clone(&shared);
-                threads.push(std::thread::spawn(move || {
-                    pool::reactor_loop(listener, wake_rx, shared_r)
-                }));
-            }
-            Threading::PerConnection => {
-                let shared_a = Arc::clone(&shared);
-                threads.push(std::thread::spawn(move || accept_loop(listener, shared_a)));
-            }
+        for _ in 0..config.effective_workers() {
+            let shared = Arc::clone(&shared);
+            threads.push(std::thread::spawn(move || pool::worker_loop(shared)));
         }
+        let shared_r = Arc::clone(&shared);
+        threads.push(std::thread::spawn(move || {
+            pool::reactor_loop(listener, wake_rx, shared_r)
+        }));
         Ok(Server { shared, threads })
     }
 
@@ -283,38 +251,6 @@ impl Server {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let workers: Mutex<Vec<JoinHandle<()>>> = Mutex::new(Vec::new());
-    for stream in listener.incoming() {
-        let Ok(stream) = stream else { continue };
-        if shared.is_shutting_down() {
-            refuse(stream);
-            break;
-        }
-        shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
-        let shared = Arc::clone(&shared);
-        let handle = std::thread::spawn(move || serve_connection(stream, shared));
-        workers
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(handle);
-    }
-    // Drain: shutdown never tears down a connected session, and clients
-    // arriving during the drain still get their one-line refusal instead
-    // of hanging in the backlog. A worker that panicked mid-push must not
-    // take the accept loop down with it, hence no poison unwraps.
-    let mut workers = workers.into_inner().unwrap_or_else(PoisonError::into_inner);
-    let _ = listener.set_nonblocking(true);
-    while !workers.is_empty() {
-        while let Ok((stream, _)) = listener.accept() {
-            let _ = stream.set_nonblocking(false);
-            refuse(stream);
-        }
-        workers.retain_mut(|handle| !handle.is_finished());
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-}
-
 pub(crate) fn refuse(mut stream: TcpStream) {
     let line = err_response(
         None,
@@ -325,149 +261,9 @@ pub(crate) fn refuse(mut stream: TcpStream) {
     let _ = writeln!(stream, "{line}");
 }
 
-/// One connection's loop: read a request line, dispatch, write a response
-/// line. Returns when the client sends `quit`, disconnects, or errors at
-/// the socket level.
-fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
-    shared
-        .metrics
-        .active_sessions
-        .fetch_add(1, Ordering::Relaxed);
-    let result = connection_loop(stream, &shared);
-    shared
-        .metrics
-        .active_sessions
-        .fetch_sub(1, Ordering::Relaxed);
-    // Socket-level failures just end the session; there is no one left to
-    // tell.
-    let _ = result;
-}
-
-fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
-    // Request/response lines are small; Nagle + delayed ACK would add
-    // tens of milliseconds per round trip.
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let mut session = ServerSession::new();
-    session.set_durable_root(shared.durable.clone());
-    let mut buf = Vec::new();
-    loop {
-        buf.clear();
-        // A plain `read_line` would both buffer unbounded input and error
-        // out on non-UTF-8 bytes without telling the client why. Read raw
-        // bytes up to the cap, then validate explicitly so garbage input
-        // gets a protocol error (or, for an over-long line, one error and
-        // a clean close) instead of a silently dropped worker.
-        let n = (&mut reader)
-            .take(MAX_LINE_BYTES + 1)
-            .read_until(b'\n', &mut buf)?;
-        if n == 0 {
-            // EOF: client closed (or half-closed) its write side.
-            break;
-        }
-        // Over the cap with no newline yet: discard the rest of the line
-        // (same bounded buffer, reused) so the connection can resync on the
-        // next line instead of being torn down mid-write.
-        let overlong = buf.len() as u64 > MAX_LINE_BYTES && buf.last() != Some(&b'\n');
-        if overlong {
-            loop {
-                buf.clear();
-                let k = (&mut reader)
-                    .take(MAX_LINE_BYTES)
-                    .read_until(b'\n', &mut buf)?;
-                if k == 0 || buf.last() == Some(&b'\n') {
-                    break;
-                }
-            }
-        }
-        let line = if overlong {
-            None
-        } else {
-            std::str::from_utf8(&buf).ok().map(str::trim)
-        };
-        if line == Some("") {
-            continue;
-        }
-        shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        session.metrics.requests += 1;
-        let (response, done) = match line {
-            Some(line) => handle_line(line, &mut session, shared),
-            None if overlong => (
-                err_response(
-                    None,
-                    ErrorCode::Protocol,
-                    "request line exceeds the 8 MiB limit",
-                    None,
-                ),
-                false,
-            ),
-            None => (
-                err_response(
-                    None,
-                    ErrorCode::Protocol,
-                    "request line is not valid UTF-8",
-                    None,
-                ),
-                false,
-            ),
-        };
-        if response.contains("\"ok\":false") {
-            shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-            session.metrics.errors += 1;
-        }
-        writeln!(writer, "{response}")?;
-        writer.flush()?;
-        if done {
-            break;
-        }
-    }
-    Ok(())
-}
-
-/// Dispatches one request line. Returns the response line and whether the
-/// connection is done.
-fn handle_line(line: &str, session: &mut ServerSession, shared: &Arc<Shared>) -> (String, bool) {
-    let req = match Json::parse(line) {
-        Ok(j @ Json::Obj(_)) => j,
-        Ok(_) => {
-            return (
-                err_response(
-                    None,
-                    ErrorCode::Protocol,
-                    "request must be a JSON object",
-                    None,
-                ),
-                false,
-            )
-        }
-        Err(e) => {
-            return (
-                err_response(None, ErrorCode::Protocol, &format!("bad JSON: {e}"), None),
-                false,
-            )
-        }
-    };
-    let id = req.get("id").cloned();
-    let id = id.as_ref();
-    let Some(op) = req.get("op").and_then(Json::as_str) else {
-        return (
-            err_response(
-                id,
-                ErrorCode::Protocol,
-                "missing or non-string `op` field",
-                None,
-            ),
-            false,
-        );
-    };
-    dispatch(op, id, &req, session, shared)
-}
-
-/// Executes one parsed request against a session. Shared by both
-/// executors: the legacy per-connection loop calls it via [`handle_line`],
-/// the worker pool calls it directly with requests decoded ahead by the
-/// reactor. Returns the response line and whether the connection is done.
+/// Executes one parsed request against a session; the worker pool calls it
+/// with requests decoded ahead by the reactor. Returns the response line
+/// and whether the connection is done.
 pub(crate) fn dispatch(
     op: &str,
     id: Option<&Json>,
@@ -511,6 +307,8 @@ pub(crate) fn dispatch(
 
 #[cfg(test)]
 mod tests {
+    use std::io::{BufRead, BufReader};
+
     use super::*;
     use crate::client::Client;
 

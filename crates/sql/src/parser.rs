@@ -7,6 +7,18 @@ use crate::error::SqlError;
 use crate::lexer::lex;
 use crate::token::{Keyword, Pos, Token, TokenKind};
 
+/// Deepest expression the parser builds. Every node counts one level
+/// (operators, `not`, unary minus, predicates, aggregates, subqueries) and
+/// so does every nested expression position (parentheses, subqueries,
+/// argument and list items). Validation, plan compilation, evaluation and
+/// even `Drop` recurse over the tree, so without a bound one request could
+/// overflow the stack of the thread serving it. Checked as each node is
+/// built, so the partial tree a rejection drops is bounded too.
+pub const MAX_DEPTH: usize = 128;
+
+/// An expression and its height in levels (see [`MAX_DEPTH`]).
+type Node = (Expr, usize);
+
 /// Parses a whole script: a sequence of statements separated/terminated by
 /// `;`.
 pub fn parse_script(input: &str) -> Result<Vec<Statement>, SqlError> {
@@ -41,6 +53,8 @@ pub fn parse_expr(input: &str) -> Result<Expr, SqlError> {
 struct Parser {
     tokens: Vec<Token>,
     idx: usize,
+    /// Expression positions currently open (see [`MAX_DEPTH`]).
+    nesting: usize,
 }
 
 impl Parser {
@@ -48,6 +62,7 @@ impl Parser {
         Ok(Parser {
             tokens: lex(input)?,
             idx: 0,
+            nesting: 0,
         })
     }
 
@@ -98,6 +113,18 @@ impl Parser {
 
     fn at_kw(&self, kw: Keyword) -> bool {
         matches!(self.peek(), TokenKind::Keyword(k) if *k == kw)
+    }
+
+    fn too_deep(&self) -> SqlError {
+        self.err(format!("expression nests deeper than {MAX_DEPTH} levels"))
+    }
+
+    /// A freshly built node of height `height`, rejected past [`MAX_DEPTH`].
+    fn node(&self, expr: Expr, height: usize) -> Result<Node, SqlError> {
+        if height > MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok((expr, height))
     }
 
     fn expect(&mut self, kind: &TokenKind) -> Result<(), SqlError> {
@@ -384,7 +411,7 @@ impl Parser {
             TokenKind::Keyword(Keyword::Insert) => self.insert().map(Action::Insert),
             TokenKind::Keyword(Keyword::Delete) => self.delete().map(Action::Delete),
             TokenKind::Keyword(Keyword::Update) => self.update().map(Action::Update),
-            TokenKind::Keyword(Keyword::Select) => self.select().map(Action::Select),
+            TokenKind::Keyword(Keyword::Select) => self.select().map(|(s, _)| Action::Select(s)),
             TokenKind::Keyword(Keyword::Rollback) => {
                 self.bump();
                 Ok(Action::Rollback)
@@ -417,7 +444,7 @@ impl Parser {
             }
             InsertSource::Values(rows)
         } else if self.at_kw(Keyword::Select) {
-            InsertSource::Select(self.select()?)
+            InsertSource::Select(self.select()?.0)
         } else {
             return Err(self.err(format!(
                 "expected `values` or `select`, found {}",
@@ -482,12 +509,14 @@ impl Parser {
         })
     }
 
-    fn select(&mut self) -> Result<SelectStmt, SqlError> {
+    /// A `select` and the height of its deepest expression.
+    fn select(&mut self) -> Result<(SelectStmt, usize), SqlError> {
         self.expect_kw(Keyword::Select)?;
         let distinct = self.eat_kw(Keyword::Distinct);
-        let mut items = vec![self.select_item()?];
+        let mut h = 0;
+        let mut items = vec![self.select_item(&mut h)?];
         while self.eat(&TokenKind::Comma) {
-            items.push(self.select_item()?);
+            items.push(self.select_item(&mut h)?);
         }
         let mut from = Vec::new();
         if self.eat_kw(Keyword::From) {
@@ -497,20 +526,20 @@ impl Parser {
             }
         }
         let where_clause = if self.eat_kw(Keyword::Where) {
-            Some(self.expr()?)
+            Some(self.expr_max(&mut h)?)
         } else {
             None
         };
         let mut group_by = Vec::new();
         if self.eat_kw(Keyword::Group) {
             self.expect_kw(Keyword::By)?;
-            group_by.push(self.expr()?);
+            group_by.push(self.expr_max(&mut h)?);
             while self.eat(&TokenKind::Comma) {
-                group_by.push(self.expr()?);
+                group_by.push(self.expr_max(&mut h)?);
             }
         }
         let having = if self.eat_kw(Keyword::Having) {
-            Some(self.expr()?)
+            Some(self.expr_max(&mut h)?)
         } else {
             None
         };
@@ -518,7 +547,7 @@ impl Parser {
         if self.eat_kw(Keyword::Order) {
             self.expect_kw(Keyword::By)?;
             loop {
-                let expr = self.expr()?;
+                let expr = self.expr_max(&mut h)?;
                 let desc = if self.eat_kw(Keyword::Desc) {
                     true
                 } else {
@@ -531,7 +560,7 @@ impl Parser {
                 }
             }
         }
-        Ok(SelectStmt {
+        let select = SelectStmt {
             distinct,
             items,
             from,
@@ -539,14 +568,15 @@ impl Parser {
             group_by,
             having,
             order_by,
-        })
+        };
+        Ok((select, h))
     }
 
-    fn select_item(&mut self) -> Result<SelectItem, SqlError> {
+    fn select_item(&mut self, h: &mut usize) -> Result<SelectItem, SqlError> {
         if self.eat(&TokenKind::Star) {
             return Ok(SelectItem::Wildcard);
         }
-        let expr = self.expr()?;
+        let expr = self.expr_max(h)?;
         let alias = if self.eat_kw(Keyword::As) {
             Some(self.ident()?)
         } else {
@@ -573,54 +603,78 @@ impl Parser {
     // Expressions (precedence climbing)
     // ------------------------------------------------------------------
 
-    /// `expr := or_expr`
+    /// `expr := or_expr`, in a position that needs no height.
     pub(crate) fn expr(&mut self) -> Result<Expr, SqlError> {
-        self.or_expr()
+        Ok(self.expr_h()?.0)
     }
 
-    fn or_expr(&mut self) -> Result<Expr, SqlError> {
-        let mut lhs = self.and_expr()?;
+    /// [`Self::expr`] raising `h` to the height of the parsed expression.
+    fn expr_max(&mut self, h: &mut usize) -> Result<Expr, SqlError> {
+        let (e, eh) = self.expr_h()?;
+        *h = (*h).max(eh);
+        Ok(e)
+    }
+
+    /// Every recursive expression position passes through here, so the
+    /// parser's own recursion is bounded along with the tree.
+    fn expr_h(&mut self) -> Result<Node, SqlError> {
+        if self.nesting >= MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.nesting += 1;
+        let r = self.or_expr();
+        self.nesting -= 1;
+        r
+    }
+
+    fn or_expr(&mut self) -> Result<Node, SqlError> {
+        let (mut lhs, mut h) = self.and_expr()?;
         while self.eat_kw(Keyword::Or) {
-            let rhs = self.and_expr()?;
-            lhs = Expr::bin(BinOp::Or, lhs, rhs);
+            let (rhs, rh) = self.and_expr()?;
+            (lhs, h) = self.node(Expr::bin(BinOp::Or, lhs, rhs), 1 + h.max(rh))?;
         }
-        Ok(lhs)
+        Ok((lhs, h))
     }
 
-    fn and_expr(&mut self) -> Result<Expr, SqlError> {
-        let mut lhs = self.not_expr()?;
+    fn and_expr(&mut self) -> Result<Node, SqlError> {
+        let (mut lhs, mut h) = self.not_expr()?;
         while self.eat_kw(Keyword::And) {
-            let rhs = self.not_expr()?;
-            lhs = Expr::bin(BinOp::And, lhs, rhs);
+            let (rhs, rh) = self.not_expr()?;
+            (lhs, h) = self.node(Expr::bin(BinOp::And, lhs, rhs), 1 + h.max(rh))?;
         }
-        Ok(lhs)
+        Ok((lhs, h))
     }
 
-    fn not_expr(&mut self) -> Result<Expr, SqlError> {
-        if self.eat_kw(Keyword::Not) {
-            Ok(Expr::Not(Box::new(self.not_expr()?)))
-        } else {
-            self.predicate()
+    fn not_expr(&mut self) -> Result<Node, SqlError> {
+        let mut nots = 0;
+        while self.eat_kw(Keyword::Not) {
+            nots += 1;
         }
+        let (mut e, mut h) = self.predicate()?;
+        for _ in 0..nots {
+            (e, h) = self.node(Expr::Not(Box::new(e)), h + 1)?;
+        }
+        Ok((e, h))
     }
 
-    fn predicate(&mut self) -> Result<Expr, SqlError> {
+    fn predicate(&mut self) -> Result<Node, SqlError> {
         if self.at_kw(Keyword::Exists) {
             self.bump();
             self.expect(&TokenKind::LParen)?;
-            let s = self.select()?;
+            let (s, sh) = self.select()?;
             self.expect(&TokenKind::RParen)?;
-            return Ok(Expr::Exists(Box::new(s)));
+            return self.node(Expr::Exists(Box::new(s)), sh + 1);
         }
-        let lhs = self.additive()?;
+        let (lhs, h) = self.additive()?;
         // Postfix predicate forms.
         if self.eat_kw(Keyword::Is) {
             let negated = self.eat_kw(Keyword::Not);
             self.expect_kw(Keyword::Null)?;
-            return Ok(Expr::IsNull {
+            let e = Expr::IsNull {
                 expr: Box::new(lhs),
                 negated,
-            });
+            };
+            return self.node(e, h + 1);
         }
         let negated = if self.at_kw(Keyword::Not)
             && matches!(
@@ -637,43 +691,48 @@ impl Parser {
         if self.eat_kw(Keyword::In) {
             self.expect(&TokenKind::LParen)?;
             if self.at_kw(Keyword::Select) {
-                let s = self.select()?;
+                let (s, sh) = self.select()?;
                 self.expect(&TokenKind::RParen)?;
-                return Ok(Expr::InSelect {
+                let e = Expr::InSelect {
                     expr: Box::new(lhs),
                     select: Box::new(s),
                     negated,
-                });
+                };
+                return self.node(e, 1 + h.max(sh));
             }
-            let mut list = vec![self.expr()?];
+            let mut lh = h;
+            let mut list = vec![self.expr_max(&mut lh)?];
             while self.eat(&TokenKind::Comma) {
-                list.push(self.expr()?);
+                list.push(self.expr_max(&mut lh)?);
             }
             self.expect(&TokenKind::RParen)?;
-            return Ok(Expr::InList {
+            let e = Expr::InList {
                 expr: Box::new(lhs),
                 list,
                 negated,
-            });
+            };
+            return self.node(e, lh + 1);
         }
         if self.eat_kw(Keyword::Between) {
-            let low = self.additive()?;
+            let (low, lh) = self.additive()?;
             self.expect_kw(Keyword::And)?;
-            let high = self.additive()?;
-            return Ok(Expr::Between {
+            let (high, hh) = self.additive()?;
+            let e = Expr::Between {
                 expr: Box::new(lhs),
                 low: Box::new(low),
                 high: Box::new(high),
                 negated,
-            });
+            };
+            return self.node(e, 1 + h.max(lh).max(hh));
         }
         if self.eat_kw(Keyword::Like) {
-            let pattern = self.additive()?;
-            return Ok(Expr::Like {
+            let (pattern, ph) = self.additive()?;
+            let e = Expr::Like {
                 expr: Box::new(lhs),
                 pattern: Box::new(pattern),
                 negated,
-            });
+            };
+            return self.node(e, 1 + h.max(ph));
         }
         if negated {
             return Err(self.err("expected `in`, `between`, or `like` after `not`"));
@@ -685,110 +744,98 @@ impl Parser {
             TokenKind::Le => BinOp::Le,
             TokenKind::Gt => BinOp::Gt,
             TokenKind::Ge => BinOp::Ge,
-            _ => return Ok(lhs),
+            _ => return Ok((lhs, h)),
         };
         self.bump();
-        let rhs = self.additive()?;
-        Ok(Expr::bin(op, lhs, rhs))
+        let (rhs, rh) = self.additive()?;
+        self.node(Expr::bin(op, lhs, rhs), 1 + h.max(rh))
     }
 
-    fn additive(&mut self) -> Result<Expr, SqlError> {
-        let mut lhs = self.multiplicative()?;
+    fn additive(&mut self) -> Result<Node, SqlError> {
+        let (mut lhs, mut h) = self.multiplicative()?;
         loop {
             let op = match self.peek() {
                 TokenKind::Plus => BinOp::Add,
                 TokenKind::Minus => BinOp::Sub,
-                _ => return Ok(lhs),
+                _ => return Ok((lhs, h)),
             };
             self.bump();
-            let rhs = self.multiplicative()?;
-            lhs = Expr::bin(op, lhs, rhs);
+            let (rhs, rh) = self.multiplicative()?;
+            (lhs, h) = self.node(Expr::bin(op, lhs, rhs), 1 + h.max(rh))?;
         }
     }
 
-    fn multiplicative(&mut self) -> Result<Expr, SqlError> {
-        let mut lhs = self.unary()?;
+    fn multiplicative(&mut self) -> Result<Node, SqlError> {
+        let (mut lhs, mut h) = self.unary()?;
         loop {
             let op = match self.peek() {
                 TokenKind::Star => BinOp::Mul,
                 TokenKind::Slash => BinOp::Div,
                 TokenKind::Percent => BinOp::Mod,
-                _ => return Ok(lhs),
+                _ => return Ok((lhs, h)),
             };
             self.bump();
-            let rhs = self.unary()?;
-            lhs = Expr::bin(op, lhs, rhs);
+            let (rhs, rh) = self.unary()?;
+            (lhs, h) = self.node(Expr::bin(op, lhs, rhs), 1 + h.max(rh))?;
         }
     }
 
-    fn unary(&mut self) -> Result<Expr, SqlError> {
-        if self.eat(&TokenKind::Minus) {
-            Ok(Expr::Neg(Box::new(self.unary()?)))
-        } else {
-            self.primary()
+    fn unary(&mut self) -> Result<Node, SqlError> {
+        let mut negs = 0;
+        while self.eat(&TokenKind::Minus) {
+            negs += 1;
         }
+        let (mut e, mut h) = self.primary()?;
+        for _ in 0..negs {
+            (e, h) = self.node(Expr::Neg(Box::new(e)), h + 1)?;
+        }
+        Ok((e, h))
     }
 
-    fn primary(&mut self) -> Result<Expr, SqlError> {
-        match self.peek().clone() {
-            TokenKind::Int(i) => {
-                self.bump();
-                Ok(Expr::Literal(Value::Int(i)))
-            }
-            TokenKind::Float(x) => {
-                self.bump();
-                Ok(Expr::Literal(Value::Float(x)))
-            }
-            TokenKind::Str(s) => {
-                self.bump();
-                Ok(Expr::Literal(Value::Str(s)))
-            }
-            TokenKind::Keyword(Keyword::True) => {
-                self.bump();
-                Ok(Expr::Literal(Value::Bool(true)))
-            }
-            TokenKind::Keyword(Keyword::False) => {
-                self.bump();
-                Ok(Expr::Literal(Value::Bool(false)))
-            }
-            TokenKind::Keyword(Keyword::Null) => {
-                self.bump();
-                Ok(Expr::Literal(Value::Null))
-            }
+    fn primary(&mut self) -> Result<Node, SqlError> {
+        let leaf = match self.peek().clone() {
+            TokenKind::Int(i) => Expr::Literal(Value::Int(i)),
+            TokenKind::Float(x) => Expr::Literal(Value::Float(x)),
+            TokenKind::Str(s) => Expr::Literal(Value::Str(s)),
+            TokenKind::Keyword(Keyword::True) => Expr::Literal(Value::Bool(true)),
+            TokenKind::Keyword(Keyword::False) => Expr::Literal(Value::Bool(false)),
+            TokenKind::Keyword(Keyword::Null) => Expr::Literal(Value::Null),
             TokenKind::LParen => {
                 self.bump();
-                if self.at_kw(Keyword::Select) {
-                    let s = self.select()?;
+                return if self.at_kw(Keyword::Select) {
+                    let (s, sh) = self.select()?;
                     self.expect(&TokenKind::RParen)?;
-                    Ok(Expr::ScalarSubquery(Box::new(s)))
+                    self.node(Expr::ScalarSubquery(Box::new(s)), sh + 1)
                 } else {
-                    let e = self.expr()?;
+                    let e = self.expr_h()?;
                     self.expect(&TokenKind::RParen)?;
                     Ok(e)
-                }
+                };
             }
             TokenKind::Keyword(Keyword::Count) => {
                 self.bump();
                 self.expect(&TokenKind::LParen)?;
-                let agg = if self.eat(&TokenKind::Star) {
-                    Expr::Aggregate {
+                let (agg, h) = if self.eat(&TokenKind::Star) {
+                    let agg = Expr::Aggregate {
                         func: Aggregate::CountStar,
                         arg: None,
-                    }
+                    };
+                    (agg, 1)
                 } else {
-                    let e = self.expr()?;
-                    Expr::Aggregate {
+                    let (e, h) = self.expr_h()?;
+                    let agg = Expr::Aggregate {
                         func: Aggregate::Count,
                         arg: Some(Box::new(e)),
-                    }
+                    };
+                    (agg, h + 1)
                 };
                 self.expect(&TokenKind::RParen)?;
-                Ok(agg)
+                return self.node(agg, h);
             }
             TokenKind::Keyword(k @ (Keyword::Sum | Keyword::Avg | Keyword::Min | Keyword::Max)) => {
                 self.bump();
                 self.expect(&TokenKind::LParen)?;
-                let e = self.expr()?;
+                let (e, h) = self.expr_h()?;
                 self.expect(&TokenKind::RParen)?;
                 let func = match k {
                     Keyword::Sum => Aggregate::Sum,
@@ -796,19 +843,20 @@ impl Parser {
                     Keyword::Min => Aggregate::Min,
                     _ => Aggregate::Max,
                 };
-                Ok(Expr::Aggregate {
+                let agg = Expr::Aggregate {
                     func,
                     arg: Some(Box::new(e)),
-                })
+                };
+                return self.node(agg, h + 1);
             }
             TokenKind::Ident(name) => {
                 self.bump();
-                if self.eat(&TokenKind::Dot) {
+                return Ok(if self.eat(&TokenKind::Dot) {
                     let col = self.ident()?;
-                    Ok(Expr::Column(ColumnRef::qualified(name, col)))
+                    (Expr::Column(ColumnRef::qualified(name, col)), 1)
                 } else {
-                    Ok(Expr::Column(ColumnRef::bare(name)))
-                }
+                    (Expr::Column(ColumnRef::bare(name)), 1)
+                });
             }
             // Transition-table keywords can qualify columns: `inserted.x`.
             TokenKind::Keyword(k @ (Keyword::Inserted | Keyword::Deleted)) => {
@@ -819,10 +867,12 @@ impl Parser {
                 };
                 self.expect(&TokenKind::Dot)?;
                 let col = self.ident()?;
-                Ok(Expr::Column(ColumnRef::qualified(qual, col)))
+                return Ok((Expr::Column(ColumnRef::qualified(qual, col)), 1));
             }
-            other => Err(self.err(format!("expected expression, found {other}"))),
-        }
+            other => return Err(self.err(format!("expected expression, found {other}"))),
+        };
+        self.bump();
+        Ok((leaf, 1))
     }
 }
 
@@ -1098,5 +1148,75 @@ mod tests {
         };
         assert_eq!(u.sets.len(), 2);
         assert!(u.where_clause.is_some());
+    }
+
+    /// `1 = 1 and 1 = 1 and …` with `terms` terms: height `terms + 1`.
+    fn and_chain(terms: usize) -> String {
+        vec!["1 = 1"; terms].join(" and ")
+    }
+
+    fn assert_too_deep(src: &str) {
+        match parse_expr(src) {
+            Err(SqlError::Parse { message, .. }) => {
+                assert!(message.contains("nests deeper"), "{message}")
+            }
+            other => panic!("expected a depth parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn operator_chains_are_bounded_at_max_depth() {
+        let at_limit = parse_expr(&and_chain(MAX_DEPTH - 1)).unwrap();
+        assert_too_deep(&and_chain(MAX_DEPTH));
+        // The fully parenthesized print form nests exactly as deep as the
+        // tree, so anything accepted survives print → parse.
+        assert_eq!(parse_expr(&at_limit.to_string()).unwrap(), at_limit);
+        let sum = vec!["1"; MAX_DEPTH].join(" + ");
+        parse_expr(&sum).unwrap();
+        assert_too_deep(&format!("{sum} + 1"));
+    }
+
+    #[test]
+    fn unary_chains_and_parentheses_are_bounded_at_max_depth() {
+        let nots = "not ".repeat(MAX_DEPTH - 1);
+        parse_expr(&format!("{nots}true")).unwrap();
+        assert_too_deep(&format!("not {nots}true"));
+        // Spaced: `--` starts a comment.
+        let negs = "- ".repeat(MAX_DEPTH - 1);
+        parse_expr(&format!("{negs}1")).unwrap();
+        assert_too_deep(&format!("- {negs}1"));
+        // Parentheses build no node but each opens an expression position.
+        let parens = |n: usize| format!("{}1{}", "(".repeat(n), ")".repeat(n));
+        assert_eq!(
+            parse_expr(&parens(MAX_DEPTH - 1)).unwrap(),
+            parse_expr("1").unwrap()
+        );
+        assert_too_deep(&parens(MAX_DEPTH));
+    }
+
+    #[test]
+    fn subqueries_count_toward_the_depth_of_their_enclosing_expression() {
+        let inner = and_chain(MAX_DEPTH - 2);
+        parse_expr(&format!("exists (select * from t where {inner})")).unwrap();
+        assert_too_deep(&format!("exists (select * from t where {inner} and 1 = 1)"));
+        assert_too_deep(&format!("1 in (select x from t where {inner} and 1 = 1)"));
+        assert_too_deep(&format!("(select x from t where {inner} and 1 = 1)"));
+        let Err(SqlError::Parse { .. }) = parse_statement(&format!(
+            "insert into u select * from t where exists (select * from t where {inner} and 1 = 1)"
+        )) else {
+            panic!("a too-deep subquery inside a statement must be rejected");
+        };
+    }
+
+    /// Inputs far past the limit are rejected without deep recursion: the
+    /// test thread's default stack would not survive building and dropping
+    /// these trees.
+    #[test]
+    fn huge_inputs_are_rejected_not_recursed() {
+        let parens = format!("{}1{}", "(".repeat(20_000), ")".repeat(20_000));
+        assert_too_deep(&parens);
+        assert_too_deep(&and_chain(5_000));
+        assert_too_deep(&format!("{}true", "not ".repeat(100_000)));
+        assert_too_deep(&format!("{}1", "- ".repeat(100_000)));
     }
 }

@@ -32,8 +32,8 @@ pub struct TableBatch {
     columns: Vec<Column>,
     len: usize,
     /// Lazily built per-column value indexes for hash joins. `OnceLock` so
-    /// concurrent explorers (scoped threads in `explore_parallel`) can race
-    /// to build them safely.
+    /// concurrent explorers (server pool workers sharing a cached program
+    /// database) can race to build them safely.
     indexes: Vec<OnceLock<HashMap<Value, Vec<u32>>>>,
 }
 

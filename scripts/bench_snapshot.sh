@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
-# Oracle perf snapshot: runs the criterion benches in quick mode (the
-# vendored criterion stub executes each body once) and then the
-# `bench_oracle` harness, which measures exploration throughput and appends
-# an entry (states/sec, wall time per corpus case) to BENCH_oracle.json.
+# Oracle perf snapshot: runs the `bench_oracle` harness, which measures
+# exploration throughput and appends an entry (states/sec, wall time per
+# corpus case) to BENCH_oracle.json.
 #
 # Usage: scripts/bench_snapshot.sh [--smoke] [--label NAME] [--out PATH]
 #                                  [--filter SUBSTR] [--iters N]
@@ -10,8 +9,7 @@
 #   --smoke   one exploration per case — CI keep-alive mode
 #   --label   history label for the JSON entry (default: current)
 #   --out     JSON path (default: BENCH_oracle.json at the repo root)
-#   --filter  only run cases whose name contains SUBSTR (skips the
-#             criterion pass, which has no filter support)
+#   --filter  only run cases whose name contains SUBSTR
 #   --iters   cap measured iterations per case (passed to bench_oracle)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -19,27 +17,18 @@ cd "$(dirname "$0")/.."
 SMOKE=()
 LABEL="current"
 OUT="BENCH_oracle.json"
-FILTER=""
 EXTRA=()
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --smoke) SMOKE=(--smoke); shift ;;
     --label) LABEL="$2"; shift 2 ;;
     --out) OUT="$2"; shift 2 ;;
-    --filter) FILTER="$2"; EXTRA+=(--filter "$2"); shift 2 ;;
+    --filter) EXTRA+=(--filter "$2"); shift 2 ;;
     --iters) EXTRA+=(--iters "$2"); shift 2 ;;
     *) echo "unknown argument: $1" >&2; exit 2 ;;
   esac
 done
 
-# Quick-mode criterion pass: every oracle bench body runs once, so the
-# bench code itself cannot rot. Skipped under --filter (criterion has no
-# case filter; a filtered run wants only the selected bench_oracle cases).
-if [[ -z "$FILTER" ]]; then
-  cargo bench -p starling-bench --bench oracle
-fi
-
-# Measured pass: throughput numbers recorded in the JSON history.
 cargo run --release -q -p starling-bench --bin bench_oracle -- \
   "${SMOKE[@]+"${SMOKE[@]}"}" "${EXTRA[@]+"${EXTRA[@]}"}" \
   --label "$LABEL" --out "$OUT"

@@ -22,7 +22,8 @@ use std::collections::BTreeSet;
 
 use starling::analysis::certifications::Certifications;
 use starling::analysis::context::AnalysisContext;
-use starling::engine::{explore_from_ops, ExploreConfig, RuleId};
+use starling::engine::exec_graph::apply_user_actions;
+use starling::engine::{explore, ExploreConfig, RuleId};
 use starling::workloads::random::{generate, RandomConfig};
 
 #[test]
@@ -48,12 +49,10 @@ fn lemma_4_1_holds_on_every_explored_edge() {
         let ctx = AnalysisContext::from_ruleset(&rules, Certifications::new());
         let base_db = w.seed_database();
         let actions = w.user_transition(13);
-        let mut working = base_db.clone();
-        let Ok(ops) = starling::engine::exec_graph::apply_user_actions(&mut working, &actions)
-        else {
+        if apply_user_actions(&mut base_db.clone(), &actions).is_err() {
             continue;
-        };
-        let g = explore_from_ops(&rules, &base_db, working, &ops, &cfg).unwrap();
+        }
+        let g = explore(&rules, &base_db, &actions, &cfg).unwrap();
 
         for edge in &g.edges {
             edges_checked += 1;

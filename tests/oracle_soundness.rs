@@ -19,7 +19,8 @@ use starling::analysis::confluence::analyze_confluence;
 use starling::analysis::context::AnalysisContext;
 use starling::analysis::observable::analyze_observable_determinism;
 use starling::analysis::termination::{analyze_termination, TerminationVerdict};
-use starling::engine::{explore_from_ops, ExploreConfig};
+use starling::engine::exec_graph::apply_user_actions;
+use starling::engine::{explore, ExploreConfig};
 use starling::workloads::random::{generate, RandomConfig};
 
 fn small_config(seed: u64) -> RandomConfig {
@@ -84,13 +85,10 @@ fn static_guarantees_hold_on_the_oracle() {
         let base_db = w.seed_database();
         for salt in 0..3u64 {
             let actions = w.user_transition(salt.wrapping_mul(0x9e37) + 1);
-            let mut working = base_db.clone();
-            let Ok(ops) = starling::engine::exec_graph::apply_user_actions(&mut working, &actions)
-            else {
+            if apply_user_actions(&mut base_db.clone(), &actions).is_err() {
                 continue; // e.g. transition violates a NOT NULL — skip probe
-            };
-            let g =
-                explore_from_ops(&rules, &base_db, working, &ops, &cfg).expect("exploration runs");
+            }
+            let g = explore(&rules, &base_db, &actions, &cfg).expect("exploration runs");
             stats.graphs += 1;
             if g.truncated() {
                 stats.truncated += 1;
@@ -156,12 +154,10 @@ fn conservatism_is_observable_in_the_corpus() {
         }
         let base_db = w.seed_database();
         let actions = w.user_transition(7);
-        let mut working = base_db.clone();
-        let Ok(ops) = starling::engine::exec_graph::apply_user_actions(&mut working, &actions)
-        else {
+        if apply_user_actions(&mut base_db.clone(), &actions).is_err() {
             continue;
-        };
-        let g = explore_from_ops(&rules, &base_db, working, &ops, &cfg).unwrap();
+        }
+        let g = explore(&rules, &base_db, &actions, &cfg).unwrap();
         if g.confluent() == Some(true) {
             found = true;
             break;

@@ -11,7 +11,7 @@
 //!   record no choice points.
 
 use starling_analysis::load_script;
-use starling_engine::{explore, explore_traced, Budget};
+use starling_engine::{explore, explore_traced_with_mode, Budget, EvalMode};
 use starling_fuzz::{generate, GenConfig};
 use starling_provenance::{explain_divergence, witness};
 use starling_workloads::chase;
@@ -55,7 +55,14 @@ fn tracing_never_perturbs_exploration() {
             continue;
         }
         let plain = explore(&s.rules, &s.db, &s.user_actions, &budget).unwrap();
-        let (traced, _) = explore_traced(&s.rules, &s.db, &s.user_actions, &budget).unwrap();
+        let (traced, _) = explore_traced_with_mode(
+            &s.rules,
+            &s.db,
+            &s.user_actions,
+            &budget,
+            EvalMode::default(),
+        )
+        .unwrap();
         assert_eq!(plain, traced, "{name}: tracing changed the graph");
         checked += 1;
     }
@@ -69,7 +76,13 @@ fn tracing_never_perturbs_exploration() {
             continue;
         }
         let plain = explore(&s.rules, &s.db, &s.user_actions, &budget);
-        let traced = explore_traced(&s.rules, &s.db, &s.user_actions, &budget);
+        let traced = explore_traced_with_mode(
+            &s.rules,
+            &s.db,
+            &s.user_actions,
+            &budget,
+            EvalMode::default(),
+        );
         match (plain, traced) {
             (Ok(p), Ok((t, _))) => assert_eq!(p, t, "seed {seed}: tracing changed the graph"),
             (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "seed {seed}"),

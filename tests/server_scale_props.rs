@@ -19,6 +19,7 @@ use starling_server::{
     ServerConfig, ServerSession,
 };
 use starling_sql::json::Json;
+use starling_sql::parser::MAX_DEPTH;
 use starling_storage::SyncPolicy;
 
 /// How long a test client polls for server readiness before giving up.
@@ -676,13 +677,136 @@ fn idle_sessions_cost_no_threads() {
     let after = threads();
     // Other tests in this binary run concurrently and spawn their own
     // threads, so allow unrelated jitter — what matters is that 512 idle
-    // sessions did not cost ~512 threads (the legacy executor's price).
+    // sessions did not cost ~512 threads (a thread-per-connection price).
     assert!(
         after <= before + 64,
         "512 idle connections grew the thread count {before} -> {after}"
     );
     drop(idle);
     first.quit().expect("quit");
+    server.shutdown();
+    server.join();
+}
+
+/// A program whose one rule's condition filters `inserted` by `predicate`,
+/// with a one-row user transition to explore.
+fn deep_script(predicate: &str) -> String {
+    format!(
+        "create table t (x int);\n\
+         create table u (x int);\n\
+         create rule r on t when inserted \
+           if exists (select * from inserted where {predicate}) \
+           then insert into u values (1) end;\n\
+         insert into t values (1);"
+    )
+}
+
+/// `x = x and x = x and …` with `terms` terms: height `terms + 1`.
+fn and_chain(terms: usize) -> String {
+    vec!["x = x"; terms].join(" and ")
+}
+
+/// The error code and message of a failed response.
+fn error_of(resp: &Json) -> (String, String) {
+    assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{resp}");
+    let err = resp.get("error").expect("error member");
+    let field = |k| {
+        err.get(k)
+            .and_then(Json::as_str)
+            .unwrap_or_default()
+            .to_owned()
+    };
+    (field("code"), field("message"))
+}
+
+/// Deeply nested conditions once overflowed the worker's stack, which
+/// aborted the whole server: 20k parentheses (about 40 KB), and a
+/// paren-free `and` chain of 5,000 terms whose left-deep tree validation,
+/// compilation, evaluation and `Drop` all recurse over. Both now get a
+/// `script` error carrying the parser's depth rejection, and the process —
+/// this test's own — keeps serving the neighbor and the sender.
+#[test]
+fn deeply_nested_loads_are_parse_errors_not_crashes() {
+    let cfg = ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    };
+    let server = Server::bind_cfg("127.0.0.1:0", None, cfg).expect("bind");
+    let addr = server.local_addr();
+    let mut neighbor = Client::connect_ready(addr, READY).expect("neighbor");
+    neighbor
+        .expect_ok(&load_op(&base_script()))
+        .expect("neighbor load");
+    let mut sender = Client::connect_ready(addr, READY).expect("sender");
+
+    let parens = format!("{}x = 1{}", "(".repeat(20_000), ")".repeat(20_000));
+    for predicate in [parens, and_chain(5_000)] {
+        let resp = sender
+            .call(&load_op(&deep_script(&predicate)))
+            .expect("reply");
+        let (code, message) = error_of(&resp);
+        assert_eq!(code, "script", "{message}");
+        assert!(
+            message.starts_with("parse error") && message.contains("nests deeper"),
+            "{message}"
+        );
+        neighbor
+            .expect_ok(&op(r#"{"op":"ping"}"#))
+            .expect("neighbor ping");
+        sender
+            .expect_ok(&op(r#"{"op":"ping"}"#))
+            .expect("sender ping");
+    }
+    neighbor
+        .expect_ok(&exec_op(&exec_sql(1)))
+        .expect("neighbor exec");
+
+    sender.quit().expect("sender quit");
+    neighbor.quit().expect("neighbor quit");
+    server.shutdown();
+    server.join();
+}
+
+/// The boundary: a condition exactly at the depth limit loads, analyzes
+/// and explores on a pool worker's default stack under every evaluation
+/// mode — as a flat `and` chain and as its fully parenthesized print form,
+/// which nests the parser as deep as the tree — while one more level is
+/// rejected.
+#[test]
+fn conditions_at_the_depth_limit_load_and_explore() {
+    let cfg = ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    };
+    let server = Server::bind_cfg("127.0.0.1:0", None, cfg).expect("bind");
+    let addr = server.local_addr();
+    let mut c = Client::connect_ready(addr, READY).expect("connect");
+
+    // `exists` adds one level over its `where` clause.
+    let flat = and_chain(MAX_DEPTH - 2);
+    let printed = starling_sql::parse_expr(&flat)
+        .expect("at-limit chain parses")
+        .to_string();
+    for predicate in [flat, printed] {
+        for mode in ["columnar", "row", "interp"] {
+            let mut load = load_op(&deep_script(&predicate));
+            if let Json::Obj(pairs) = &mut load {
+                pairs.push(("eval_mode".into(), Json::from(mode)));
+            }
+            c.expect_ok(&load).expect("at-limit load");
+            c.expect_ok(&op(r#"{"op":"analyze"}"#)).expect("analyze");
+            let r = c.expect_ok(&op(r#"{"op":"explore"}"#)).expect("explore");
+            assert!(r.get("states").is_some(), "{r}");
+        }
+        let resp = c
+            .call(&load_op(&deep_script(&format!("x = x and ({predicate})"))))
+            .expect("reply");
+        let (code, message) = error_of(&resp);
+        assert_eq!(code, "script", "{message}");
+        assert!(message.contains("nests deeper"), "{message}");
+    }
+
+    c.quit().expect("quit");
     server.shutdown();
     server.join();
 }

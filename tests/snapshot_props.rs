@@ -1,23 +1,19 @@
 //! Property tests for the copy-on-write snapshot layer, the incremental
-//! per-table digest cache, and the parallel execution-graph oracle:
+//! per-table digest cache:
 //!
 //! * a CoW clone plus divergent mutation is observationally equal to a deep
 //!   copy — the snapshot never sees writes through the other handle, and
 //!   both sides digest as if fully independent;
 //! * the incrementally maintained per-table content digest always equals a
 //!   from-scratch recompute, under arbitrary insert/update/delete
-//!   sequences;
-//! * parallel `explore` produces a graph identical to sequential `explore`
-//!   on randomized rule workloads (the fault-sweep generator family).
+//!   sequences.
 
 use proptest::prelude::*;
 
-use starling::engine::{explore, explore_parallel, ExploreConfig};
 use starling::storage::{
     CanonicalDigest, ColumnDef, Database, FaultPlan, FaultSpec, TableSchema, TupleId, Value,
     ValueType,
 };
-use starling::workloads::random::{generate, RandomConfig};
 
 const TABLES: [&str; 3] = ["t0", "t1", "t2"];
 
@@ -188,43 +184,6 @@ proptest! {
                 // reads, so it must move in lockstep.
                 let _ = t.digest();
             }
-        }
-    }
-
-    /// Parallel exploration is byte-identical to sequential exploration on
-    /// randomized workloads (the generator family the fault sweep uses).
-    #[test]
-    fn parallel_explore_equals_sequential_on_random_workloads(
-        seed in 0u64..24,
-        salt in 0u64..3,
-    ) {
-        let w = generate(&RandomConfig {
-            n_tables: 3,
-            n_cols: 2,
-            n_rules: 4,
-            max_actions: 2,
-            p_condition: 0.5,
-            p_observable: 0.2,
-            p_priority: 0.2,
-            rows_per_table: 2,
-            seed,
-        });
-        let rules = w.compile();
-        let base = w.seed_database();
-        let actions = w.user_transition(salt);
-        let cfg = ExploreConfig::default()
-            .with_max_states(600)
-            .with_max_paths(2_000);
-        let seq = explore(&rules, &base, &actions, &cfg);
-        let par = explore_parallel(&rules, &base, &actions, &cfg);
-        match (seq, par) {
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(&a, &b);
-                prop_assert_eq!(a.final_db_digests(), b.final_db_digests());
-                prop_assert_eq!(a.truncation, b.truncation);
-            }
-            (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
-            (a, b) => prop_assert!(false, "divergent outcomes: {:?} vs {:?}", a, b),
         }
     }
 }
