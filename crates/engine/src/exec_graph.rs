@@ -426,9 +426,9 @@ pub fn explore(
     explore_with_mode(rules, base_db, user_actions, cfg, EvalMode::default())
 }
 
-/// [`explore`] with an explicit [`EvalMode`] instead of the environment
-/// default — the differential tests run the oracle under both modes in one
-/// process and assert the graphs are identical.
+/// [`explore`] with an explicit [`EvalMode`] — the differential tests run
+/// the oracle under every mode in one process and assert the graphs are
+/// identical.
 pub fn explore_with_mode(
     rules: &RuleSet,
     base_db: &Database,
@@ -663,6 +663,23 @@ mod tests {
             .collect()
     }
 
+    /// [`explore`] under every [`EvalMode`]: the columnar, row and
+    /// interpreter graphs (or errors) must be identical, so each test below
+    /// also checks the row and interpreter paths.
+    fn explore_all_modes(
+        rules: &RuleSet,
+        db: &Database,
+        acts: &[Action],
+        cfg: &ExploreConfig,
+    ) -> Result<ExecGraph, EngineError> {
+        let columnar = explore(rules, db, acts, cfg);
+        for mode in [EvalMode::Row, EvalMode::Interp] {
+            let other = explore_with_mode(rules, db, acts, cfg, mode);
+            assert_eq!(other, columnar, "{mode:?} diverges from columnar");
+        }
+        columnar
+    }
+
     #[test]
     fn single_rule_linear_graph() {
         let db = db_with(&[("t", &["a"])]);
@@ -670,7 +687,7 @@ mod tests {
             &db,
             "create rule r on t when inserted then delete from t end",
         );
-        let g = explore(
+        let g = explore_all_modes(
             &rs,
             &db,
             &actions(&["insert into t values (1)"]),
@@ -696,7 +713,7 @@ mod tests {
             "create rule tgl on t when updated(a) then \
                update t set a = 1 - a end",
         );
-        let g = explore(
+        let g = explore_all_modes(
             &rs,
             &db,
             &actions(&["update t set a = 1 - a"]),
@@ -720,7 +737,7 @@ mod tests {
             "create rule flip on t when inserted then delete from t end;
              create rule flop on t when deleted then insert into t values (1) end;",
         );
-        let g = explore(
+        let g = explore_all_modes(
             &rs,
             &db,
             &actions(&["insert into t values (1)"]),
@@ -742,7 +759,7 @@ mod tests {
              create rule set2 on t when inserted then \
                update out set v = 2 where v = 0 end;",
         );
-        let g = explore(
+        let g = explore_all_modes(
             &rs,
             &db,
             &actions(&["insert into out values (0)", "insert into t values (1)"]),
@@ -765,7 +782,7 @@ mod tests {
             "create rule wx on t when inserted then insert into x values (1) end;
              create rule wy on t when inserted then insert into y values (2) end;",
         );
-        let g = explore(
+        let g = explore_all_modes(
             &rs,
             &db,
             &actions(&["insert into t values (1)"]),
@@ -793,7 +810,7 @@ mod tests {
              create rule obs2 on t when inserted then select 2 end;",
         );
         let cfg = ExploreConfig::default();
-        let g = explore(&rs, &db, &actions(&["insert into t values (1)"]), &cfg).unwrap();
+        let g = explore_all_modes(&rs, &db, &actions(&["insert into t values (1)"]), &cfg).unwrap();
         assert_eq!(g.confluent(), Some(true));
         assert_eq!(g.observably_deterministic(&cfg), Some(false));
         assert_eq!(g.observable_streams(&cfg).unwrap().len(), 2);
@@ -808,7 +825,7 @@ mod tests {
              create rule obs2 on t when inserted then select 2 end;",
         );
         let cfg = ExploreConfig::default();
-        let g = explore(&rs, &db, &actions(&["insert into t values (1)"]), &cfg).unwrap();
+        let g = explore_all_modes(&rs, &db, &actions(&["insert into t values (1)"]), &cfg).unwrap();
         assert_eq!(g.observably_deterministic(&cfg), Some(true));
     }
 
@@ -819,7 +836,7 @@ mod tests {
             &db,
             "create rule guard on t when inserted then rollback end",
         );
-        let g = explore(
+        let g = explore_all_modes(
             &rs,
             &db,
             &actions(&["insert into t values (1)"]),
@@ -846,7 +863,7 @@ mod tests {
         let cfg = ExploreConfig::default()
             .with_max_states(50)
             .with_max_paths(100);
-        let g = explore(&rs, &db, &actions(&["insert into t values (1)"]), &cfg).unwrap();
+        let g = explore_all_modes(&rs, &db, &actions(&["insert into t values (1)"]), &cfg).unwrap();
         assert!(g.truncated());
         assert_eq!(g.truncation, Some(TruncationReason::States));
         assert_eq!(g.terminates(), None);
@@ -878,7 +895,7 @@ mod tests {
             "create rule r on t when inserted then delete from t end",
         );
         let cfg = ExploreConfig::default().with_deadline(std::time::Duration::ZERO);
-        let g = explore(&rs, &db, &actions(&["insert into t values (1)"]), &cfg).unwrap();
+        let g = explore_all_modes(&rs, &db, &actions(&["insert into t values (1)"]), &cfg).unwrap();
         assert_eq!(g.truncation, Some(TruncationReason::Deadline));
         // Partial graph: the initial state exists even though nothing was
         // expanded.
@@ -911,7 +928,7 @@ mod tests {
                update t set a = 1 - a end",
         );
         let cfg = ExploreConfig::default();
-        let g = explore(&rs, &db, &actions(&["update t set a = 1 - a"]), &cfg).unwrap();
+        let g = explore_all_modes(&rs, &db, &actions(&["update t set a = 1 - a"]), &cfg).unwrap();
         assert_eq!(g.termination_verdict(), Verdict::Fails);
         assert_eq!(g.confluence_verdict(), Verdict::NotApplicable);
         assert_eq!(
@@ -932,7 +949,7 @@ mod tests {
              create rule o3 on t when inserted then select 3 end;",
         );
         let cfg = ExploreConfig::default().with_max_paths(2);
-        let g = explore(&rs, &db, &actions(&["insert into t values (1)"]), &cfg).unwrap();
+        let g = explore_all_modes(&rs, &db, &actions(&["insert into t values (1)"]), &cfg).unwrap();
         // Exploration itself completed…
         assert!(!g.truncated());
         assert_eq!(g.terminates(), Some(true));
@@ -962,20 +979,20 @@ mod tests {
         );
         let acts = actions(&["insert into t values (1)"]);
         let n = {
-            let g = explore(&rs, &db, &acts, &ExploreConfig::default()).unwrap();
+            let g = explore_all_modes(&rs, &db, &acts, &ExploreConfig::default()).unwrap();
             assert!(!g.truncated());
             g.states.len()
         };
 
         // Budget == exact state count: complete graph, full verdicts.
         let exact = ExploreConfig::default().with_max_states(n);
-        let seq = explore(&rs, &db, &acts, &exact).unwrap();
+        let seq = explore_all_modes(&rs, &db, &acts, &exact).unwrap();
         assert_eq!(seq.truncation, None);
         assert_eq!(seq.termination_verdict(), Verdict::Holds);
 
         // Budget == one less: truncates with the state reason.
         let under = ExploreConfig::default().with_max_states(n - 1);
-        let seq = explore(&rs, &db, &acts, &under).unwrap();
+        let seq = explore_all_modes(&rs, &db, &acts, &under).unwrap();
         assert_eq!(seq.truncation, Some(TruncationReason::States));
         assert_eq!(
             seq.termination_verdict(),
@@ -998,7 +1015,7 @@ mod tests {
         );
         let cfg = ExploreConfig::default().with_max_rows(64);
         let acts = actions(&["insert into t values (1)"]);
-        let seq = explore(&rs, &db, &acts, &cfg).unwrap();
+        let seq = explore_all_modes(&rs, &db, &acts, &cfg).unwrap();
         assert_eq!(seq.truncation, Some(TruncationReason::Rows));
         assert_eq!(
             seq.termination_verdict(),
@@ -1015,6 +1032,9 @@ mod tests {
             &db,
             "create rule r on t when inserted then delete from t end",
         );
-        assert!(explore(&rs, &db, &actions(&["rollback"]), &ExploreConfig::default()).is_err());
+        assert!(
+            explore_all_modes(&rs, &db, &actions(&["rollback"]), &ExploreConfig::default())
+                .is_err()
+        );
     }
 }

@@ -7,8 +7,6 @@
 //! (*quiescence*), a rollback occurs, or the consideration limit is hit
 //! (possible nontermination).
 
-use std::sync::OnceLock;
-
 use starling_sql::eval::{exec_action, ActionOutcome};
 use starling_sql::plan::{eval_condition, execute_action, PlanMode};
 use starling_storage::Database;
@@ -21,45 +19,30 @@ use crate::ruleset::{RuleId, RuleSet};
 use crate::state::ExecState;
 use crate::strategy::ChoiceStrategy;
 
-/// How a processor evaluates rule conditions and actions.
-///
-/// This used to be a process-global atomic, which made it impossible for
-/// two concurrent sessions (e.g. server connections) to use different
-/// evaluation paths — one flipping the switch flipped everyone. It is now
-/// an explicit per-processor value: the environment variable is only the
-/// *default*, never a global override.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// How conditions and actions are evaluated. Users get [`EvalMode::Columnar`]
+/// (the default); the row and interpreter modes are the differential
+/// oracles, reachable only as an explicit argument to the explore and step
+/// functions.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum EvalMode {
     /// Compiled physical plans executed batch-at-a-time: base-table scans
     /// borrow cached columnar views, vectorizable filters run as
     /// whole-column kernels over selection bitmaps, and non-vectorizable
-    /// units fall back to row-at-a-time plan execution per statement (the
-    /// fast path, and the default).
+    /// units fall back to row-at-a-time plan execution per statement.
+    #[default]
     Columnar,
-    /// Compiled physical plans executed row-at-a-time (the PR-3 engine) —
-    /// kept as the differential oracle for the columnar kernels.
-    Plan,
+    /// Compiled physical plans executed row-at-a-time for every statement —
+    /// the differential oracle for the columnar kernels.
+    Row,
     /// The AST interpreter for everything — the differential oracle used to
     /// cross-check the plan layer.
     Interp,
 }
 
 impl EvalMode {
-    /// The process default, read once per process and cached:
-    /// `STARLING_EVAL_MODE` selects `columnar`, `row` (also accepted as
-    /// `plan`), or `interp`; otherwise [`EvalMode::Columnar`].
-    pub fn from_env() -> Self {
-        static FROM_ENV: OnceLock<EvalMode> = OnceLock::new();
-        *FROM_ENV.get_or_init(|| match std::env::var("STARLING_EVAL_MODE").as_deref() {
-            Ok("interp") => EvalMode::Interp,
-            Ok("row") | Ok("plan") => EvalMode::Plan,
-            _ => EvalMode::Columnar,
-        })
-    }
-
     /// Whether this mode uses compiled plans.
     pub fn uses_plans(self) -> bool {
-        matches!(self, EvalMode::Plan | EvalMode::Columnar)
+        matches!(self, EvalMode::Row | EvalMode::Columnar)
     }
 
     /// The plan-execution strategy this mode selects (meaningful only when
@@ -69,13 +52,6 @@ impl EvalMode {
             EvalMode::Columnar => PlanMode::Columnar,
             _ => PlanMode::Row,
         }
-    }
-}
-
-impl Default for EvalMode {
-    /// The environment-derived default (see [`EvalMode::from_env`]).
-    fn default() -> Self {
-        EvalMode::from_env()
     }
 }
 
@@ -325,33 +301,22 @@ pub struct Processor<'r> {
     pub max_considerations: usize,
     /// Optional wall-clock bound on a run.
     pub deadline: Option<std::time::Duration>,
-    /// How conditions and actions are evaluated. Per-processor, so
-    /// concurrent sessions can never flip each other's evaluation path.
-    pub eval_mode: EvalMode,
 }
 
 impl<'r> Processor<'r> {
     /// A processor over a rule set with the default limit (10 000
-    /// considerations), no deadline, and the environment-default
-    /// [`EvalMode`].
+    /// considerations) and no deadline.
     pub fn new(rules: &'r RuleSet) -> Self {
         Processor {
             rules,
             max_considerations: 10_000,
             deadline: None,
-            eval_mode: EvalMode::default(),
         }
     }
 
     /// Sets the consideration limit.
     pub fn with_limit(mut self, limit: usize) -> Self {
         self.max_considerations = limit;
-        self
-    }
-
-    /// Sets the evaluation mode.
-    pub fn with_eval_mode(mut self, mode: EvalMode) -> Self {
-        self.eval_mode = mode;
         self
     }
 
@@ -412,8 +377,8 @@ impl<'r> Processor<'r> {
             let eligible = self.rules.priority().choose(&triggered);
             debug_assert!(!eligible.is_empty());
             let picked = strategy.choose(&eligible);
-            let step = match consider_rule(self.rules, state, picked, txn_snapshot, self.eval_mode)
-            {
+            let step = consider_rule(self.rules, state, picked, txn_snapshot, EvalMode::default());
+            let step = match step {
                 Ok(step) => step,
                 Err(e) => {
                     // Crash-consistent abort: the failed consideration may

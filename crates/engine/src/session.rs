@@ -17,7 +17,7 @@ use starling_storage::Database;
 use crate::durability::{Durability, DEFAULT_SNAPSHOT_EVERY};
 use crate::error::EngineError;
 use crate::ops::TupleOp;
-use crate::processor::{EvalMode, Outcome, Processor, RunResult};
+use crate::processor::{Outcome, Processor, RunResult};
 use crate::ruleset::RuleSet;
 use crate::state::ExecState;
 use crate::strategy::ChoiceStrategy;
@@ -57,9 +57,6 @@ pub struct Session {
     pub max_considerations: usize,
     /// Optional wall-clock bound on each assertion point's rule processing.
     pub deadline: Option<std::time::Duration>,
-    /// How this session's rule processing evaluates conditions and actions.
-    /// Per-session state: concurrent sessions cannot affect each other.
-    pub eval_mode: EvalMode,
 }
 
 impl Session {
@@ -75,7 +72,6 @@ impl Session {
             durability: None,
             max_considerations: 10_000,
             deadline: None,
-            eval_mode: EvalMode::default(),
         }
     }
 
@@ -103,7 +99,6 @@ impl Session {
             durability: None,
             max_considerations: 10_000,
             deadline: None,
-            eval_mode: EvalMode::default(),
         }
     }
 
@@ -462,9 +457,7 @@ impl Session {
         };
         let ops = std::mem::take(&mut self.pending_ops);
         let mut state = ExecState::new(self.db.clone(), rules.len(), &ops);
-        let mut processor = Processor::new(&rules)
-            .with_limit(limit)
-            .with_eval_mode(self.eval_mode);
+        let mut processor = Processor::new(&rules).with_limit(limit);
         processor.deadline = self.deadline;
         let result = match processor.run(&mut state, &snapshot, strategy) {
             Ok(r) => r,

@@ -330,9 +330,9 @@ pub fn check_script(src: &str, budget: &Budget, mutation: Mutation) -> CaseOutco
         )
     };
     let columnar = explore(EvalMode::Columnar);
-    let plan = explore(EvalMode::Plan);
+    let row = explore(EvalMode::Row);
     let interp = explore(EvalMode::Interp);
-    let (g, gr, gi) = match (columnar, plan, interp) {
+    let (g, gr, gi) = match (columnar, row, interp) {
         (Ok(g), Ok(gr), Ok(gi)) => (g, gr, gi),
         (Err(a), Err(b), Err(c)) => {
             // The transition errors: every engine must agree on the error.
@@ -428,7 +428,6 @@ pub fn check_script(src: &str, budget: &Budget, mutation: Mutation) -> CaseOutco
                 &loaded.db,
                 &loaded.user_actions,
                 &w,
-                EvalMode::Columnar,
             ) {
                 Ok(true) => Some(starling_provenance::witness_compact(&loaded.rules, &w)),
                 _ => None,

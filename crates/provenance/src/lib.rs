@@ -63,12 +63,11 @@ pub fn explain_divergence(
     base_db: &Database,
     actions: &[Action],
     cfg: &ExploreConfig,
-    mode: EvalMode,
 ) -> Result<Explanation, EngineError> {
-    let (graph, log) = explore_traced_with_mode(rules, base_db, actions, cfg, mode)?;
+    let (graph, log) = explore_traced_with_mode(rules, base_db, actions, cfg, EvalMode::default())?;
     let witness = match witness::extract(rules, &graph) {
         Some(mut w) => {
-            w.replay_verified = witness::verify(rules, base_db, actions, &w, mode)?;
+            w.replay_verified = witness::verify(rules, base_db, actions, &w)?;
             Some(w)
         }
         None => None,

@@ -36,6 +36,13 @@ use crate::session::ServerSession;
 /// make a worker buffer unbounded input.
 pub(crate) const MAX_LINE_BYTES: u64 = 8 * 1024 * 1024;
 
+/// Stack size of each pool worker. Conditions nested up to
+/// `parser::MAX_DEPTH` are evaluated recursively, and an unoptimized build
+/// overflows the std default of 2 MiB at that depth — an abort no
+/// `catch_unwind` contains. Sized by loading, analyzing and exploring
+/// at-limit conditions on an unoptimized server.
+const WORKER_STACK: usize = 4 << 20;
+
 /// The server's durable data directory: each named store is a subdirectory
 /// holding a WAL + snapshot pair, attachable by at most one session at a
 /// time (single-writer; the WAL has one append cursor).
@@ -217,7 +224,11 @@ impl Server {
         let mut threads = Vec::new();
         for _ in 0..config.effective_workers() {
             let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || pool::worker_loop(shared)));
+            threads.push(
+                std::thread::Builder::new()
+                    .stack_size(WORKER_STACK)
+                    .spawn(move || pool::worker_loop(shared))?,
+            );
         }
         let shared_r = Arc::clone(&shared);
         threads.push(std::thread::spawn(move || {

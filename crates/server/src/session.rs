@@ -6,9 +6,7 @@
 //! Each connection owns its session outright. The database handed out at
 //! `load` is a copy-on-write snapshot (PR 2): sessions of the same program
 //! share physical tables until one writes, and no session can observe
-//! another's writes. Evaluation mode is per-session state (PR 4's
-//! [`EvalMode`]): one session running the interpreter oracle cannot flip a
-//! neighbor onto the slow path.
+//! another's writes.
 //!
 //! ## Request atomicity
 //!
@@ -73,8 +71,6 @@ pub struct ServerSession {
     /// The loaded script's user transition — the default probe for
     /// `explore` when the request does not carry its own DML.
     default_actions: Vec<Action>,
-    /// This session's evaluation mode (survives request-atomic restores).
-    eval_mode: EvalMode,
     /// The server's durable data directory, if it has one.
     durable_root: Option<Arc<DurableRoot>>,
     /// The store name this session is attached to, if any (holds the
@@ -99,7 +95,6 @@ struct LastExplore {
     db: Database,
     actions: Vec<Action>,
     budget: Budget,
-    eval_mode: EvalMode,
 }
 
 /// Everything needed to roll a session back to its pre-request state.
@@ -116,7 +111,6 @@ impl ServerSession {
         ServerSession {
             session: Session::new(),
             default_actions: Vec::new(),
-            eval_mode: EvalMode::default(),
             durable_root: None,
             persist_name: None,
             metrics: SessionMetrics::default(),
@@ -222,7 +216,6 @@ impl ServerSession {
         let durability = self.session.take_durability();
         self.session = Session::restore(cp.db, cp.defs, cp.compiled, cp.directives);
         self.session.set_durability(durability);
-        self.session.eval_mode = self.eval_mode;
     }
 
     /// `load`: seed this session from a (cached) compiled program — either
@@ -238,20 +231,6 @@ impl ServerSession {
     /// attaches to the store's recovered state. A store has at most one
     /// writer at a time.
     fn op_load(&mut self, req: &Json, cache: &ScriptCache) -> OpResult {
-        if let Some(mode) = req.get("eval_mode") {
-            self.eval_mode = match mode.as_str() {
-                Some("columnar") => EvalMode::Columnar,
-                Some("plan") | Some("row") => EvalMode::Plan,
-                Some("interp") => EvalMode::Interp,
-                _ => {
-                    return Err((
-                        ErrorCode::Protocol,
-                        "`eval_mode` must be \"columnar\", \"plan\", or \"interp\"".into(),
-                        None,
-                    ))
-                }
-            };
-        }
         let persist = match req.get("persist") {
             None => None,
             Some(v) => {
@@ -327,7 +306,6 @@ impl ServerSession {
             Some(name) => Some(self.claim_store(name)?),
         };
         self.session = Session::restore(db, defs, Some(rules), directives);
-        self.session.eval_mode = self.eval_mode;
         self.default_actions = user_actions;
         if let Some((name, root)) = claimed {
             let dir = root.dir().join(&name);
@@ -379,8 +357,7 @@ impl ServerSession {
         let (name, root) = self.claim_store(&name)?;
         let dir = root.dir().join(&name);
         match Session::open_durable(&dir, root.sync()) {
-            Ok(mut session) => {
-                session.eval_mode = self.eval_mode;
+            Ok(session) => {
                 self.session = session;
                 self.default_actions = Vec::new();
                 self.persist_name = Some(name.clone());
@@ -512,9 +489,14 @@ impl ServerSession {
             .ruleset_arc()
             .map_err(|e| (code_for_engine_error(&e), e.to_string(), None))?
             .clone();
-        let (g, log) =
-            explore_traced_with_mode(&rules, self.session.db(), &actions, &budget, self.eval_mode)
-                .map_err(|e| (code_for_engine_error(&e), e.to_string(), None))?;
+        let (g, log) = explore_traced_with_mode(
+            &rules,
+            self.session.db(),
+            &actions,
+            &budget,
+            EvalMode::default(),
+        )
+        .map_err(|e| (code_for_engine_error(&e), e.to_string(), None))?;
         self.metrics.states_explored += g.states.len() as u64;
         self.prov.record_trace(&log);
         // Keep the probe (even for an inconclusive exploration) so a
@@ -524,7 +506,6 @@ impl ServerSession {
             db: self.session.db().clone(),
             actions: actions.clone(),
             budget,
-            eval_mode: self.eval_mode,
         });
         let result = explore_json(&g, &budget);
         let inconclusive = [
@@ -560,7 +541,6 @@ impl ServerSession {
             &last.db,
             &last.actions,
             &last.budget,
-            last.eval_mode,
         )
         .map_err(|e| (code_for_engine_error(&e), e.to_string(), None))?;
         self.prov.record_trace(&ex.log);
@@ -1097,40 +1077,6 @@ mod tests {
         assert!(s
             .handle_op("analyze", &Json::parse("{}").unwrap(), &cache)
             .is_ok());
-    }
-
-    #[test]
-    fn eval_mode_is_per_session() {
-        let cache = ScriptCache::new();
-        let mut columnar = ServerSession::new();
-        let mut plan = ServerSession::new();
-        let mut interp = ServerSession::new();
-        let load = |mode: &str| {
-            Json::obj([
-                ("script", Json::from(SCRIPT)),
-                ("eval_mode", Json::from(mode)),
-            ])
-        };
-        columnar
-            .handle_op("load", &load("columnar"), &cache)
-            .unwrap();
-        plan.handle_op("load", &load("plan"), &cache).unwrap();
-        interp.handle_op("load", &load("interp"), &cache).unwrap();
-        assert_eq!(columnar.eval_mode, EvalMode::Columnar);
-        assert_eq!(plan.eval_mode, EvalMode::Plan);
-        assert_eq!(interp.eval_mode, EvalMode::Interp);
-        // All paths agree on the oracle result.
-        let a = plan
-            .handle_op("explore", &Json::parse("{}").unwrap(), &cache)
-            .unwrap();
-        let b = interp
-            .handle_op("explore", &Json::parse("{}").unwrap(), &cache)
-            .unwrap();
-        let c = columnar
-            .handle_op("explore", &Json::parse("{}").unwrap(), &cache)
-            .unwrap();
-        assert_eq!(a.to_string(), b.to_string());
-        assert_eq!(a.to_string(), c.to_string());
     }
 
     fn durable_root() -> (Arc<DurableRoot>, std::path::PathBuf) {

@@ -150,7 +150,7 @@ mod tests {
             ("filter", filter_rules(rows), 1),
         ] {
             let mut digests = Vec::new();
-            for mode in [EvalMode::Columnar, EvalMode::Plan, EvalMode::Interp] {
+            for mode in [EvalMode::Columnar, EvalMode::Row, EvalMode::Interp] {
                 let g = explore_with_mode(&rules, &db, &actions, &cfg, mode).unwrap();
                 assert!(!g.truncated(), "{name} truncated under {mode:?}");
                 assert_eq!(g.terminates(), Some(true), "{name} under {mode:?}");

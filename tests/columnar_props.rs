@@ -321,7 +321,7 @@ fn exploration_graphs_agree_across_modes() {
 
     for (name, rules, db, actions) in &cases {
         let columnar = graph_fingerprint(rules, db, actions, &cfg, EvalMode::Columnar, name);
-        let row = graph_fingerprint(rules, db, actions, &cfg, EvalMode::Plan, name);
+        let row = graph_fingerprint(rules, db, actions, &cfg, EvalMode::Row, name);
         let interp = graph_fingerprint(rules, db, actions, &cfg, EvalMode::Interp, name);
         assert_eq!(columnar, row, "{name}: columnar vs row-plan graphs diverge");
         assert_eq!(

@@ -12,10 +12,8 @@
 //!    fails (error *messages* may differ; only existence must match).
 //! 2. **Rule conditions** — every corpus and case-study rule condition,
 //!    compiled and evaluated against transition bindings.
-//! 3. **Execution graphs** — full oracle exploration with `EvalMode::Plan`
-//!    vs `EvalMode::Interp` must yield identical graphs (the mode is an
-//!    explicit per-exploration parameter, so both paths run in one process
-//!    without any global switch).
+//! 3. **Execution graphs** — full oracle exploration with `EvalMode::Row`
+//!    vs `EvalMode::Interp` must yield identical graphs.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -628,7 +626,7 @@ fn graph_fingerprint(
 }
 
 /// Full oracle exploration must be bit-identical between the compiled-plan
-/// path ([`EvalMode::Plan`]) and forced interpretation
+/// path ([`EvalMode::Row`]) and forced interpretation
 /// ([`EvalMode::Interp`]).
 #[test]
 fn exploration_graphs_agree_with_forced_interp() {
@@ -695,7 +693,7 @@ fn exploration_graphs_agree_with_forced_interp() {
     }
 
     for (name, rules, db, actions) in &cases {
-        let with_plans = graph_fingerprint(rules, db, actions, &cfg, EvalMode::Plan, name);
+        let with_plans = graph_fingerprint(rules, db, actions, &cfg, EvalMode::Row, name);
         let with_interp = graph_fingerprint(rules, db, actions, &cfg, EvalMode::Interp, name);
         assert_eq!(with_plans, with_interp, "{name}: graphs diverge");
     }

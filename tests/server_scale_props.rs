@@ -14,6 +14,8 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
+use starling_analysis::load_script;
+use starling_engine::{explore_with_mode, Budget, EvalMode};
 use starling_server::{
     ok_response, raise_fd_limit, Client, ClientError, DurableRoot, ScriptCache, Server,
     ServerConfig, ServerSession,
@@ -172,7 +174,13 @@ fn two_thousand_pipelined_sessions_match_serial_replay() {
         .map(|i| serial_reference(&script, i, &cache))
         .collect();
 
-    let server = Server::bind("127.0.0.1:0").expect("bind");
+    // Admit every pipelined request: refusals have their own test, and a
+    // starved pool must not turn this equivalence check into one.
+    let cfg = ServerConfig {
+        max_inflight: sessions * 4,
+        ..ServerConfig::default()
+    };
+    let server = Server::bind_cfg("127.0.0.1:0", None, cfg).expect("bind");
     let addr = server.local_addr();
     let mut warm = Client::connect_ready(addr, READY).expect("warm connect");
     warm.expect_ok(&load_op(&script)).expect("warm load");
@@ -768,10 +776,10 @@ fn deeply_nested_loads_are_parse_errors_not_crashes() {
 }
 
 /// The boundary: a condition exactly at the depth limit loads, analyzes
-/// and explores on a pool worker's default stack under every evaluation
-/// mode — as a flat `and` chain and as its fully parenthesized print form,
-/// which nests the parser as deep as the tree — while one more level is
-/// rejected.
+/// and explores on a pool worker — as a flat `and` chain and as its fully
+/// parenthesized print form, which nests the parser as deep as the tree —
+/// and explores under the row and interpreter oracles on a 2 MiB stack,
+/// while one more level is rejected.
 #[test]
 fn conditions_at_the_depth_limit_load_and_explore() {
     let cfg = ServerConfig {
@@ -788,16 +796,23 @@ fn conditions_at_the_depth_limit_load_and_explore() {
         .expect("at-limit chain parses")
         .to_string();
     for predicate in [flat, printed] {
-        for mode in ["columnar", "row", "interp"] {
-            let mut load = load_op(&deep_script(&predicate));
-            if let Json::Obj(pairs) = &mut load {
-                pairs.push(("eval_mode".into(), Json::from(mode)));
-            }
-            c.expect_ok(&load).expect("at-limit load");
-            c.expect_ok(&op(r#"{"op":"analyze"}"#)).expect("analyze");
-            let r = c.expect_ok(&op(r#"{"op":"explore"}"#)).expect("explore");
-            assert!(r.get("states").is_some(), "{r}");
-        }
+        let script = deep_script(&predicate);
+        c.expect_ok(&load_op(&script)).expect("at-limit load");
+        c.expect_ok(&op(r#"{"op":"analyze"}"#)).expect("analyze");
+        let r = c.expect_ok(&op(r#"{"op":"explore"}"#)).expect("explore");
+        assert!(r.get("states").is_some(), "{r}");
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let s = load_script(&script).expect("at-limit script loads");
+                for mode in [EvalMode::Row, EvalMode::Interp] {
+                    explore_with_mode(&s.rules, &s.db, &s.user_actions, &Budget::default(), mode)
+                        .unwrap_or_else(|e| panic!("{mode:?} explore: {e}"));
+                }
+            })
+            .expect("spawn")
+            .join()
+            .expect("row and interpreter explores at the limit");
         let resp = c
             .call(&load_op(&deep_script(&format!("x = x and ({predicate})"))))
             .expect("reply");
